@@ -100,7 +100,13 @@ def heisenberg_limit(h) -> HeisenbergLimit:
     """
     h = matcore.require_hermitian(h, "H")
     w = np.linalg.eigvalsh(h)
-    gap = float(w[-1] - w[0])
+    # Python floats overflow to inf silently, where numpy would warn
+    gap = float(w[-1]) - float(w[0])
+    if not math.isfinite(gap * gap):
+        raise NumericalConsistencyError(
+            f"Heisenberg limit overflows: the squared spectral gap of "
+            f"{gap:.6g} is not a finite float"
+        )
     return HeisenbergLimit(f1_max=gap, f2_max=gap * gap)
 
 
@@ -343,6 +349,12 @@ def ksep_bound(n_qubits: int, k: int, alpha: float) -> float:
     return float(2.0 ** expo * math.sqrt(s * k * k + r * r))
 
 
+def _site(s) -> int:
+    if not float(s).is_integer():
+        raise InvalidInputError(f"partition site {s!r} is not an integer")
+    return int(s)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint grouping of register sites with one Hamiltonian per block.
@@ -356,7 +368,7 @@ class Partition:
     hamiltonians: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(s) for s in block) for block in self.blocks)
+        blocks = tuple(tuple(_site(s) for s in block) for block in self.blocks)
         if not blocks:
             raise InvalidInputError("partition needs at least one block")
         seen: set[int] = set()
@@ -380,6 +392,12 @@ class Partition:
         dims = {hk.shape[0] for hk in hams}
         if len(dims) != 1:
             raise InvalidInputError("block Hamiltonians must share one dimension")
+        dim = dims.pop()
+        if dim < 2 ** n:
+            raise InvalidInputError(
+                f"register dimension {dim} is below 2**{n}: every one of the "
+                f"{n} sites needs at least two levels"
+            )
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "hamiltonians", hams)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import matcore, quantum
 from .classical import gen_fisher
@@ -86,9 +85,13 @@ class ContinuousModel:
 
 
 def _split_quad(fn, breakpoint: float) -> float:
+    # scipy is imported here, not at module level, so that only processes
+    # that integrate a continuous model pay its start-up cost
+    import scipy.integrate
+
     # split at the parameter value, where location families may be kinked
-    left, _ = integrate.quad(fn, -np.inf, breakpoint, limit=200)
-    right, _ = integrate.quad(fn, breakpoint, np.inf, limit=200)
+    left, _ = scipy.integrate.quad(fn, -np.inf, breakpoint, limit=200)
+    right, _ = scipy.integrate.quad(fn, breakpoint, np.inf, limit=200)
     return float(left + right)
 
 

@@ -41,9 +41,16 @@ def load_json(path: str):
 
 
 def _require_number(value, field: str) -> float:
+    # json.loads accepts the NaN and Infinity literals, and 1e999 as inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{field} must be a finite number, got {value!r}")
+    return x
 
 
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
@@ -222,7 +229,7 @@ def partition_from_json(obj, name: str = "partition") -> bounds.Partition:
         if not isinstance(block, list):
             raise InvalidInputError(f"{name}: blocks[{i}] must be a list of sites")
         parsed_blocks.append(tuple(
-            int(_require_number(s, f"{name}: blocks[{i}][{j}]"))
+            _require_number(s, f"{name}: blocks[{i}][{j}]")
             for j, s in enumerate(block)
         ))
     parsed_hams = [matrix_from_json(hk, f"{name}: hamiltonians[{i}]")

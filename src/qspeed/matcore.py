@@ -53,8 +53,10 @@ def hermiticity_defect(a: np.ndarray) -> float:
 def require_hermitian(a, name: str = "operator", tol: float = HERM_TOL) -> np.ndarray:
     """Validate Hermiticity within tol and return the symmetrized matrix.
 
-    Symmetrizing (A + A^dag)/2 removes roundoff-level asymmetry so that
-    downstream eigh calls see an exactly Hermitian matrix.
+    Symmetrizing A/2 + A^dag/2 removes roundoff-level asymmetry so that
+    downstream eigh calls see an exactly Hermitian matrix.  Halving first
+    cannot overflow, and halving is exact, so for finite inputs that do not
+    underflow this equals (A + A^dag)/2 exactly (a zero may change sign).
     """
     a = as_matrix(a, name)
     defect = hermiticity_defect(a)
@@ -62,7 +64,9 @@ def require_hermitian(a, name: str = "operator", tol: float = HERM_TOL) -> np.nd
         raise InvalidInputError(
             f"{name} is not Hermitian: max|A - A^dag| = {defect:.3e} > {tol:.1e}"
         )
-    return (a + a.conj().T) / 2
+    h = a / 2
+    h += h.conj().T
+    return h
 
 
 def require_density(rho, name: str = "rho") -> np.ndarray:

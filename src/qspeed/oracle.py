@@ -69,8 +69,8 @@ def _gue_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def random_instances(kind: str, dim: int, seed: int, count: int = 1) -> list:
-    """Seeded random inputs: each instance is keyed by (seed, index).
+def random_instance(kind: str, dim: int, seed: int, index: int):
+    """The seeded random input keyed by (seed, index).
 
     kind "density": Ginibre density matrices; "pure": Haar state vectors;
     "hermitian": GUE-style observables; "povm": rank-1 projective
@@ -78,33 +78,33 @@ def random_instances(kind: str, dim: int, seed: int, count: int = 1) -> list:
     Haar qubit states, where ``dim`` counts qubits.
     """
     dim = int(dim)
-    count = int(count)
     if dim < 1:
         raise InvalidInputError("dimension must be positive")
+    rng = generator(seed, index)
+    if kind == "density":
+        return _ginibre_density(dim, rng)
+    if kind == "pure":
+        return _haar_pure(dim, rng)
+    if kind == "hermitian":
+        return _gue_hermitian(dim, rng)
+    if kind == "povm":
+        u = haar_unitary(dim, rng)
+        return quantum.POVM([np.outer(u[:, j], u[:, j].conj())
+                             for j in range(dim)])
+    if kind == "product_state":
+        psi = np.ones(1, dtype=complex)
+        for q in range(dim):
+            psi = np.kron(psi, _haar_pure(2, generator(seed, index, q)))
+        return psi
+    raise InvalidInputError(f"unsupported instance kind {kind!r}")
+
+
+def random_instances(kind: str, dim: int, seed: int, count: int = 1) -> list:
+    """The first ``count`` instances of :func:`random_instance`."""
+    count = int(count)
     if count < 0:
         raise InvalidInputError("count must be nonnegative")
-    out = []
-    for i in range(count):
-        rng = generator(seed, i)
-        if kind == "density":
-            out.append(_ginibre_density(dim, rng))
-        elif kind == "pure":
-            out.append(_haar_pure(dim, rng))
-        elif kind == "hermitian":
-            out.append(_gue_hermitian(dim, rng))
-        elif kind == "povm":
-            u = haar_unitary(dim, rng)
-            out.append(quantum.POVM(
-                [np.outer(u[:, j], u[:, j].conj()) for j in range(dim)]
-            ))
-        elif kind == "product_state":
-            psi = np.ones(1, dtype=complex)
-            for q in range(dim):
-                psi = np.kron(psi, _haar_pure(2, generator(seed, i, q)))
-            out.append(psi)
-        else:
-            raise InvalidInputError(f"unsupported instance kind {kind!r}")
-    return out
+    return [random_instance(kind, dim, seed, i) for i in range(count)]
 
 
 # -- finite-difference speeds -----------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .classical import ParametricDist, as_prob
 from .errors import (DegenerateInputError, InvalidInputError,
@@ -28,6 +27,16 @@ from .matcore import (HERM_TOL, P_FLOOR, Superoperator, as_matrix,
                       zero_tol)
 
 COMPLETENESS_TOL = 1e-9
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    # scipy is imported here, not at module level: its import takes several
+    # times as long as numpy's, and only the non_hermitian and lindblad kinds
+    # need it.  The lookup goes through the module on every call so that a
+    # patched scipy.linalg.expm is seen.
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
 
 
 def sld_tol(rho: np.ndarray) -> float:
@@ -208,10 +217,10 @@ class ParametricFamily:
             u = (self._hv * np.exp(-1j * self._hw * theta)) @ self._hv.conj().T
             return u @ self.rho0 @ u.conj().T
         if self.kind == "non_hermitian":
-            e = scipy.linalg.expm(-1j * self._h_eff * theta)
+            e = _expm(-1j * self._h_eff * theta)
             return e @ self.rho0 @ e.conj().T
         if self.kind == "lindblad":
-            prop = scipy.linalg.expm(self.superop.matrix * theta)
+            prop = _expm(self.superop.matrix * theta)
             from .matcore import unvec
             return unvec(prop @ vec(self.rho0), self.dim)
         if self.kind == "thermal":
@@ -257,7 +266,7 @@ class ParametricFamily:
             u = (self._hv * np.exp(-1j * self._hw * theta)) @ self._hv.conj().T
             return u @ self.psi0
         if self.kind == "non_hermitian":
-            return scipy.linalg.expm(-1j * self._h_eff * theta) @ self.psi0
+            return _expm(-1j * self._h_eff * theta) @ self.psi0
         raise InvalidInputError(
             f"pure_state_at not defined for kind {self.kind!r}"
         )

@@ -20,13 +20,11 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def unitary_family(dim: int, seed: int, index: int, pure: bool = False):
-    h = oracle.random_instances("hermitian", dim, seed, count=index + 1)[index]
+    h = oracle.random_instance("hermitian", dim, seed, index)
     if pure:
-        psi = oracle.random_instances("pure", dim, seed + 1,
-                                      count=index + 1)[index]
+        psi = oracle.random_instance("pure", dim, seed + 1, index)
         return ParametricFamily.unitary(h, psi)
-    rho = oracle.random_instances("density", dim, seed + 1,
-                                  count=index + 1)[index]
+    rho = oracle.random_instance("density", dim, seed + 1, index)
     return ParametricFamily.unitary(h, rho)
 
 
@@ -73,13 +71,10 @@ def test_criterion_02():
     for index in range(500):
         dim = dims[index % len(dims)]
         seed = 1100 + 10 * dim
-        h = oracle.random_instances("hermitian", dim, seed,
-                                    count=index + 1)[index]
-        psi = oracle.random_instances("pure", dim, seed + 1,
-                                      count=index + 1)[index]
+        h = oracle.random_instance("hermitian", dim, seed, index)
+        psi = oracle.random_instance("pure", dim, seed + 1, index)
         if index % 5 == 2:
-            gamma = oracle.random_instances("hermitian", dim, seed + 2,
-                                            count=index + 1)[index]
+            gamma = oracle.random_instance("hermitian", dim, seed + 2, index)
             fam = ParametricFamily.non_hermitian(h, gamma, psi)
         else:
             fam = ParametricFamily.unitary(h, psi)
@@ -105,10 +100,8 @@ def test_criterion_03():
     for index in range(100):
         dim = 2 if index % 2 == 0 else 3
         seed = 1200 + 10 * dim
-        h = oracle.random_instances("hermitian", dim, seed,
-                                    count=index + 1)[index]
-        psi = oracle.random_instances("pure", dim, seed + 1,
-                                      count=index + 1)[index]
+        h = oracle.random_instance("hermitian", dim, seed, index)
+        psi = oracle.random_instance("pure", dim, seed + 1, index)
         mean = float((psi.conj() @ h @ psi).real)
         second = float((psi.conj() @ h @ h @ psi).real)
         delta = math.sqrt(max(second - mean * mean, 0.0))
@@ -181,10 +174,8 @@ def test_criterion_04():
     # measurement on mixed pairs
     for index in range(200):
         dim = 2 + index % 2
-        rho = oracle.random_instances("density", dim, 1330,
-                                      count=index + 1)[index]
-        sigma = oracle.random_instances("density", dim, 1331,
-                                        count=index + 1)[index]
+        rho = oracle.random_instance("density", dim, 1330, index)
+        sigma = oracle.random_instance("density", dim, 1331, index)
         d1 = quantum.trace_distance(rho, sigma)
         d2sq = quantum.bures_distance(rho, sigma) ** 2
         assert d2sq <= d1 + 1e-9
@@ -200,10 +191,8 @@ def test_criterion_04():
     # outcomes attain both ends
     for index in range(200):
         dim = 2 + index % 3
-        psi = oracle.random_instances("pure", dim, 1340,
-                                      count=index + 1)[index]
-        phi = oracle.random_instances("pure", dim, 1341,
-                                      count=index + 1)[index]
+        psi = oracle.random_instance("pure", dim, 1340, index)
+        phi = oracle.random_instance("pure", dim, 1341, index)
         o = complex(psi.conj() @ phi)
         if abs(o) > 1e-12:
             phi = phi * (o.conjugate() / abs(o))  # real overlap
@@ -283,12 +272,9 @@ def test_criterion_07():
     # 1e-6 on 100 random qubit triples, and the commuting 2x2 shift
     # minimum matches an independent 1-D minimization within 1e-8.
     for index in range(100):
-        h = oracle.random_instances("hermitian", 2, 1500,
-                                    count=index + 1)[index]
-        gamma = oracle.random_instances("hermitian", 2, 1501,
-                                        count=index + 1)[index]
-        psi = oracle.random_instances("pure", 2, 1502,
-                                      count=index + 1)[index]
+        h = oracle.random_instance("hermitian", 2, 1500, index)
+        gamma = oracle.random_instance("hermitian", 2, 1501, index)
+        psi = oracle.random_instance("pure", 2, 1502, index)
         closed = quantum.nonhermitian_pure_speed(psi, h, gamma, 1.0)
         fam = ParametricFamily.non_hermitian(h, gamma, psi)
         est, _ = finite_diff_speed(fam, 0.0, kind="trace")
@@ -389,8 +375,7 @@ def test_criterion_09():
     }
     for index in range(500):
         n = 2 if index % 2 == 0 else 3
-        psi = oracle.random_instances("product_state", n, 1700,
-                                      count=index + 1)[index]
+        psi = oracle.random_instance("product_state", n, 1700, index)
         fam = ParametricFamily.unitary(jz(n), psi)
         for alpha in (1.0, 2.0):
             assert bounds.witness(fam, kind="ksep", alpha=alpha,

@@ -269,6 +269,11 @@ def test_partition_validation():
         Partition(((0,), (1,)), (h0,))  # one Hamiltonian short
     with pytest.raises(InvalidInputError):
         Partition(((0,), (1,)), (h0, SZ / 2))  # mixed dimensions
+    with pytest.raises(InvalidInputError):
+        Partition(((0,), (1.5,)), (h0, h1))  # fractional site
+    with pytest.raises(InvalidInputError):
+        Partition(((0,), (1,)), (np.eye(1), np.eye(1)))  # a level per site
+    assert Partition(((0,), (1.0,)), (h0, h1)).blocks == ((0,), (1,))
 
 
 def test_asep_bound_bell_pair():

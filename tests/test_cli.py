@@ -4,11 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from qspeed import classical
+from qspeed import classical, jsonio, quantum
 from qspeed.cli import main
 from qspeed.errors import NumericalConsistencyError
 
@@ -71,6 +72,17 @@ def test_speed_report_values(tmp_path, capsys):
     assert report["S1"] == pytest.approx(0.5, abs=1e-9)
     assert report["S2"] == pytest.approx(SQ8, abs=1e-9)
     assert report["SSalpha"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_speed_non_hermitian_family(tmp_path, capsys):
+    spec = {"kind": "non_hermitian", "h": HZ_HALF,
+            "gamma": matrix_json(np.diag([0.2, 0.0])), "state": PLUS_RHO}
+    fam = write(tmp_path, "fam.json", spec)
+    report = run_json(capsys, ["speed", "--family", fam, "--theta", "0.3"])
+    expected = jsonio.family_from_json(spec)
+    assert report["F1"] == pytest.approx(quantum.trace_speed(expected, 0.3),
+                                         rel=1e-11)
+    assert report["F2"] == pytest.approx(quantum.qfi(expected, 0.3), rel=1e-11)
 
 
 def test_speed_povm_flag(tmp_path, capsys):
@@ -156,6 +168,22 @@ def test_bound_missing_flag(tmp_path, capsys):
     assert "--hamiltonian" in err
 
 
+@pytest.mark.parametrize("h", [np.diag([1e308, -1e308]),
+                               np.array([[0.0, 1e308], [1e308, 0.0]]),
+                               np.diag([1e200, -1e200])])
+def test_bound_heisenberg_overflow_exits_3(tmp_path, capsys, h):
+    path = write(tmp_path, "h.json", matrix_json(h))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["bound", "--kind", "heisenberg",
+                                      "--hamiltonian", path])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "overflow" in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_bound_ksep(capsys):
     report = run_json(capsys, ["bound", "--kind", "ksep", "--n-qubits", "4",
                                "--k", "1", "--alpha", "1"])
@@ -176,6 +204,31 @@ def test_bound_asep(tmp_path, capsys):
     report = run_json(capsys, ["bound", "--kind", "asep", "--state", s,
                                "--partition", part, "--alpha", "1"])
     assert report["value"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+def test_bound_asep_rejects_fractional_site(tmp_path, capsys):
+    s = write(tmp_path, "bell.json", matrix_json(BELL))
+    part = write(tmp_path, "part.json",
+                 dict(BELL_PARTITION, blocks=[[0], [1.9]]))
+    code, out, err = run(capsys, ["bound", "--kind", "asep", "--state", s,
+                                  "--partition", part, "--alpha", "1"])
+    assert code == 2
+    assert out == ""
+    assert "1.9" in err and "integer" in err
+
+
+def test_bound_asep_rejects_register_below_two_levels_per_site(tmp_path,
+                                                              capsys):
+    s = write(tmp_path, "one.json", matrix_json([[1.0]]))
+    part = write(tmp_path, "part.json",
+                 {"blocks": [[0], [1]],
+                  "hamiltonians": [matrix_json([[1.0]]),
+                                   matrix_json([[2.0]])]})
+    code, out, err = run(capsys, ["bound", "--kind", "asep", "--state", s,
+                                  "--partition", part, "--alpha", "1"])
+    assert code == 2
+    assert out == ""
+    assert "2**2" in err
 
 
 def test_bound_nonhermitian(tmp_path, capsys):
@@ -278,6 +331,18 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "line 1 column" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_validate_rejects_non_finite_entries(tmp_path, capsys, literal):
+    path = tmp_path / "rho.json"
+    path.write_text('{"dim": 2, "entries": [[[%s, 0], [0, 0]], '
+                    '[[0, 0], [0.5, 0]]]}' % literal)
+    code, out, err = run(capsys, ["validate", str(path), "--as", "density"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "entries[0][0][0] must be a finite number" in err
+
+
 def test_validate_role_override(tmp_path, capsys):
     path = write(tmp_path, "h.json", matrix_json(np.diag([0.5, 0.4])))
     report = run_json(capsys, ["validate", path, "--as", "hermitian"])
@@ -349,3 +414,32 @@ def test_console_script_runs(tmp_path):
                            "--family", fam], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["F1"] == pytest.approx(1.0, abs=1e-9)
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import qspeed, qspeed.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qspeed.cli.main(["speed", "--family", sys.argv[1], "--povm", "qfi"])
+print(json.dumps({"after_import": after_import, "code": code,
+                  "after_speed": scipy_modules()}))
+"""
+
+
+def test_cli_loads_no_scipy_for_unitary_speed(tmp_path):
+    # scipy is imported only where expm and quad run; an eager import
+    # would add its start-up cost to every qspeed process
+    fam = write(tmp_path, "fam.json", PLUS_FAMILY)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, fam],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["after_import"] == []
+    assert probe["code"] == 0
+    assert probe["after_speed"] == []

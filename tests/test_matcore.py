@@ -50,6 +50,20 @@ def test_eig_rejects_non_hermitian():
         matcore.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_require_hermitian_symmetrizes_without_overflow(scale):
+    rng = generator(9)
+    for dim in (1, 2, 5):
+        a = scale * random_hermitian(rng, dim)
+        a += 1e-12 * scale * random_matrix(rng, dim)  # within HERM_TOL
+        tol = max(1e-9, 1e-11 * scale)
+        # halving before adding equals the reference (A + A^dag)/2 exactly
+        assert np.array_equal(matcore.require_hermitian(a, tol=tol),
+                              (a + a.conj().T) / 2)
+    big = matcore.require_hermitian(np.diag([1e308, -1e308]))
+    assert np.array_equal(big, np.diag([1e308, -1e308]))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_eig_residual_and_orthonormality(seed):
     rng = generator(seed)

@@ -9,7 +9,7 @@ import pytest
 from qspeed import matcore, oracle, quantum
 from qspeed.errors import InvalidInputError
 from qspeed.oracle import (SearchConfig, brute_force_max, finite_diff_speed,
-                           haar_unitary, random_instances)
+                           haar_unitary, random_instance, random_instances)
 from qspeed.quantum import ParametricFamily
 from qspeed.seeding import generator
 
@@ -89,9 +89,27 @@ def test_random_instances_keyed_by_index():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind, dim", [("density", 3), ("pure", 4),
+                                       ("hermitian", 3), ("povm", 2),
+                                       ("product_state", 3)])
+def test_random_instance_matches_list_path(kind, dim):
+    # the single-instance path returns the list path's entry bit for bit
+    listed = random_instances(kind, dim, 708, count=6)
+    for index in (0, 2, 5):
+        one = random_instance(kind, dim, 708, index)
+        if kind == "povm":
+            assert len(one) == len(listed[index])
+            for a, b in zip(one, listed[index]):
+                assert np.array_equal(a, b)
+        else:
+            assert np.array_equal(one, listed[index])
+
+
 def test_random_instances_validation():
     with pytest.raises(InvalidInputError):
         random_instances("werner", 2, 0)
+    with pytest.raises(InvalidInputError):
+        random_instance("werner", 2, 0, 3)
     with pytest.raises(InvalidInputError):
         random_instances("density", 0, 0)
     with pytest.raises(InvalidInputError):
