@@ -122,7 +122,13 @@ def bhatia_davis_bound(h, rho) -> float:
     mean = float(np.real(np.trace(rho @ h)))
     hi = max(float(w[-1]) - mean, 0.0)
     lo = max(mean - float(w[0]), 0.0)
-    return 4.0 * hi * lo
+    value = 4.0 * hi * lo
+    if not math.isfinite(value):
+        raise NumericalConsistencyError(
+            f"Bhatia-Davis bound overflows: 4 (lmax - <H>)(<H> - lmin) with "
+            f"factors {hi:.6g} and {lo:.6g} is not a finite float"
+        )
+    return value
 
 
 # -- induced superoperator norm ---------------------------------------
@@ -311,6 +317,13 @@ def nonhermitian_speed_bound(h, gamma) -> NonHermitianBound:
         b = float(grid[min(j + 1, len(grid) - 1)])
         tol = 1e-12 * max(1.0, hi - lo)
         r_min, q_min = _golden_min(q, a, b, tol)
+    # Python floats overflow to inf silently; the commutator test below
+    # would overflow numpy's matmul on such inputs
+    if not math.isfinite(4.0 * q_min * q_min):
+        raise NumericalConsistencyError(
+            f"non-Hermitian speed bound overflows: 4 q^2 with q = "
+            f"{q_min:.6g} is not a finite float"
+        )
 
     comm = float(np.linalg.norm(matcore.commutator(h, gamma)))
     comm_scale = float(np.linalg.norm(h)) * float(np.linalg.norm(gamma))

@@ -38,6 +38,9 @@ def load_json(path: str):
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # an integer literal past Python's int-digit limit
+        raise InvalidInputError(f"{path}: unreadable number: {exc}") from exc
 
 
 def _require_number(value, field: str) -> float:

@@ -24,8 +24,15 @@ _OBJECTIVES = ("f_alpha", "sf_alpha", "d_alpha", "sd_alpha")
 
 # angle grid for the 1-D Givens search; the restricted objective is a
 # function of cos(2t), sin(2t), so one period is covered
-_GRID = [-math.pi / 2 + k * math.pi / 25 for k in range(25)]
+_GRID = np.array([-math.pi / 2 + k * math.pi / 25 for k in range(25)])
+_GRID_C2 = np.array([math.cos(2 * t) for t in _GRID])
+_GRID_S2 = np.array([math.sin(2 * t) for t in _GRID])
 _SPACING = math.pi / 25
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# restarts advance together as one stack of rows, at most this many at a
+# time, so memory stays O(_BLOCK d^2) for any restart count
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -149,40 +156,44 @@ def finite_diff_speed(fam: quantum.ParametricFamily, theta: float,
 
 
 def _make_cell(objective: str, alpha: float):
-    """Scalar per-outcome contribution cell(p, x) for the 1-D angle search."""
+    """Per-outcome contribution cell(p, x), elementwise on arrays."""
+    # np.float_power rounds as the C library's pow does; np.power's SIMD
+    # loop can differ in the last bit, which moves the searched optimum.
+    # np.fmax(p, f) is `p if p > f else f`, a NaN p included.
+    pw = np.float_power
     if objective == "f_alpha":
         if alpha == 1.0:
-            return lambda p, x: abs(x)
+            return lambda p, x: np.abs(x)
 
-        def cell_f(p: float, x: float) -> float:
+        def cell_f(p: np.ndarray, x: np.ndarray) -> np.ndarray:
             # floor-clamped denominator can only lower the value, keeping
             # the search a valid lower bound on the closed form
-            pc = p if p > P_FLOOR else P_FLOOR
-            return pc * (abs(x) / pc) ** alpha
+            pc = np.fmax(p, P_FLOOR)
+            return pc * pw(np.abs(x) / pc, alpha)
 
         return cell_f
     if objective == "sf_alpha":
         if math.isinf(alpha):
-            return lambda p, x: abs(x)
-        return lambda p, x: abs(x) ** alpha
+            return lambda p, x: np.abs(x)
+        return lambda p, x: pw(np.abs(x), alpha)
     if objective == "d_alpha":
         inv = 1.0 / alpha
 
-        def cell_d(p: float, x: float) -> float:
-            pp = p if p > 0.0 else 0.0
-            qq = x if x > 0.0 else 0.0
-            return 0.5 * abs(pp ** inv - qq ** inv) ** alpha
+        def cell_d(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+            pp = np.fmax(p, 0.0)
+            qq = np.fmax(x, 0.0)
+            return 0.5 * pw(np.abs(pw(pp, inv) - pw(qq, inv)), alpha)
 
         return cell_d
     if objective == "sd_alpha":
         if math.isinf(alpha):
-            def cell_sd_inf(p: float, x: float) -> float:
-                return abs(p - (x if x > 0.0 else 0.0))
+            def cell_sd_inf(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+                return np.abs(p - np.fmax(x, 0.0))
 
             return cell_sd_inf
 
-        def cell_sd(p: float, x: float) -> float:
-            return 0.5 * abs(p - (x if x > 0.0 else 0.0)) ** alpha
+        def cell_sd(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+            return 0.5 * pw(np.abs(p - np.fmax(x, 0.0)), alpha)
 
         return cell_sd
     raise InvalidInputError(
@@ -194,24 +205,6 @@ def _reduce(total: float, objective: str, alpha: float) -> float:
     if objective == "f_alpha" or math.isinf(alpha):
         return float(total)
     return float(total ** (1.0 / alpha))
-
-
-def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    t = 0.5 * (a + b)
-    return t, fn(t)
 
 
 def _resolve_inputs(fam, theta: float, objective: str, partner):
@@ -236,6 +229,153 @@ def _resolve_inputs(fam, theta: float, objective: str, partner):
     )
 
 
+def _golden_rows(fn, a: np.ndarray, b: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximum of fn on each row's bracket [a, b].
+
+    ``fn`` maps an array of one point per row to the rows' values.  Every
+    row takes the branch that its own comparison fc > fd picks and stops
+    once its bracket is at most ``tol``.  Returns (points, values).
+    """
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while True:
+        live = b - a > tol
+        n_live = np.count_nonzero(live)
+        if not n_live:
+            break
+        left = fc > fd  # the maximum lies in [a, d]
+        na = np.where(left, a, c)
+        nb = np.where(left, d, b)
+        w = _INV_PHI * (nb - na)
+        t = np.where(left, nb - w, na + w)
+        ft = fn(t)
+        step = (na, nb, np.where(left, t, d), np.where(left, c, t),
+                np.where(left, ft, fd), np.where(left, fc, ft))
+        if n_live < live.size:
+            step = [np.where(live, new, old)
+                    for new, old in zip(step, (a, b, c, d, fc, fd))]
+        a, b, c, d, fc, fd = step
+    t = 0.5 * (a + b)
+    return t, fn(t)
+
+
+def _total(cells: np.ndarray, use_max: bool) -> np.ndarray:
+    if use_max:
+        return cells.max(axis=1)
+    # left to right: np.sum groups the terms differently, which can
+    # change the last bit of the total
+    total = cells[:, 0]
+    for k in range(1, cells.shape[1]):
+        total = total + cells[:, k]
+    return total
+
+
+def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
+                 cell, use_max: bool, step_tol: float) -> None:
+    """One Givens move on the pair (i, j) at one phase, for every row.
+
+    Scans the angle grid, refines the best grid point by golden section
+    and applies the rotation to the rows whose total it raises by more
+    than ``step_tol``; updates the arrays in place.
+    """
+    w = 1.0 if phase == 0.0 else -1j
+    ma = 0.5 * (a[:, i, i].real + a[:, j, j].real)[:, None]
+    da = 0.5 * (a[:, i, i].real - a[:, j, j].real)[:, None]
+    ca = (w * a[:, i, j]).real[:, None]
+    mb = 0.5 * (b[:, i, i].real + b[:, j, j].real)[:, None]
+    db = 0.5 * (b[:, i, i].real - b[:, j, j].real)[:, None]
+    cb = (w * b[:, i, j]).real[:, None]
+    ma2, mb2 = 2 * ma, 2 * mb
+    if use_max:
+        others = [k for k in range(cells.shape[1]) if k not in (i, j)]
+        rest = (cells[:, others].max(axis=1) if others
+                else np.zeros(len(cells)))[:, None]
+    else:
+        rest = (total - cells[:, i] - cells[:, j])[:, None]
+
+    def pair_total(c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+        pi_ = ma + da * c2 + ca * s2
+        xi_ = mb + db * c2 + cb * s2
+        if use_max:
+            return np.maximum(np.maximum(rest, cell(pi_, xi_)),
+                              cell(ma2 - pi_, mb2 - xi_))
+        return rest + cell(pi_, xi_) + cell(ma2 - pi_, mb2 - xi_)
+
+    vals = pair_total(_GRID_C2, _GRID_S2)
+    kbest = vals.argmax(axis=1)  # the first of tied maxima
+    v0 = vals[np.arange(len(vals)), kbest]
+    t0 = _GRID[kbest][:, None]
+    t_star, v_star = _golden_rows(
+        lambda t: pair_total(np.cos(2 * t), np.sin(2 * t)),
+        t0 - _SPACING, t0 + _SPACING, 1e-8,
+    )
+    t_star, v_star = t_star[:, 0], v_star[:, 0]
+    grid_wins = v0 > v_star
+    t_star = np.where(grid_wins, _GRID[kbest], t_star)
+    v_star = np.where(grid_wins, v0, v_star)
+    rows = np.flatnonzero(v_star > total + step_tol)
+    if not rows.size:
+        return
+    c, s = np.cos(t_star[rows]), np.sin(t_star[rows])
+    g = np.empty((rows.size, 2, 2), dtype=complex)
+    g[:, 0, 0] = c
+    g[:, 0, 1] = -s * np.exp(1j * phase)
+    g[:, 1, 0] = s * np.exp(-1j * phase)
+    g[:, 1, 1] = c
+    gh = g.conj().transpose(0, 2, 1)
+    ij = [i, j]
+    for mat in (a, b, u):
+        sub = mat[rows]
+        sub[:, :, ij] = sub[:, :, ij] @ g
+        if mat is not u:
+            sub[:, ij, :] = gh @ sub[:, ij, :]
+        mat[rows] = sub
+    for k in ij:
+        cells[rows, k] = cell(a[rows, k, k].real, b[rows, k, k].real)
+    gain[rows] += v_star[rows] - total[rows]
+    total[rows] = _total(cells[rows], use_max)
+
+
+def _search_block(rho, x, starts, cfg: SearchConfig, cell,
+                  use_max: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate ascent from the given restarts, run as one stack.
+
+    Returns each restart's final total and unitary.
+    """
+    dim = rho.shape[0]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    u = np.stack([haar_unitary(dim, generator(cfg.seed, s)) for s in starts])
+    uh = u.conj().transpose(0, 2, 1)
+    a = uh @ rho @ u
+    b = uh @ x @ u
+    cells = cell(np.diagonal(a, axis1=1, axis2=2).real,
+                 np.diagonal(b, axis1=1, axis2=2).real)
+    total = _total(cells, use_max)
+    final_total = np.empty(len(starts))
+    final_u = np.empty_like(u)
+    ids = np.arange(len(starts))  # the rows still climbing
+    for _ in range(int(cfg.max_sweeps)):
+        gain = np.zeros(len(ids))
+        for (i, j) in pairs:
+            for phase in (0.0, math.pi / 2):
+                _givens_move(a, b, u, cells, total, gain, i, j, phase, cell,
+                             use_max, cfg.step_tol)
+        done = gain <= cfg.step_tol
+        if done.any():
+            final_total[ids[done]] = total[done]
+            final_u[ids[done]] = u[done]
+            keep = ~done
+            ids, a, b, u = ids[keep], a[keep], b[keep], u[keep]
+            cells, total = cells[keep], total[keep]
+            if not ids.size:
+                break
+    final_total[ids] = total
+    final_u[ids] = u
+    return final_total, final_u
+
+
 def brute_force_max(fam, theta: float, objective: str, alpha: float,
                     cfg: SearchConfig | None = None,
                     partner=None) -> tuple[float, quantum.POVM]:
@@ -245,9 +385,10 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
     starts followed by Givens-rotation coordinate ascent.  For an index
     pair and phase, the rotated probabilities are sinusoids in twice the
     angle and only two outcomes change, so each move is an angle-grid scan
-    plus golden-section refinement with O(1) evaluations.  Restriction to
-    projective measurements is enough to attain the closed-form maxima.
-    Returns (best value, best measurement).
+    plus golden-section refinement with O(1) evaluations.  The restarts
+    advance together as a stack of arrays, in blocks of at most ``_BLOCK``
+    rows.  Restriction to projective measurements is enough to attain the
+    closed-form maxima.  Returns (best value, best measurement).
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -263,81 +404,16 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
         )
     cell = _make_cell(objective, alpha)
     use_max = math.isinf(alpha)
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-    def diag_cells(u: np.ndarray) -> list[float]:
-        p = np.real(np.diag(u.conj().T @ rho @ u))
-        q = np.real(np.diag(u.conj().T @ x @ u))
-        return [cell(float(p[k]), float(q[k])) for k in range(dim)]
-
+    restarts = int(cfg.restarts)
     best_total = -math.inf
     best_u = np.eye(dim, dtype=complex)
-    for start in range(int(cfg.restarts)):
-        rng = generator(cfg.seed, start)
-        u = haar_unitary(dim, rng)
-        a = u.conj().T @ rho @ u
-        b = u.conj().T @ x @ u
-        cells = diag_cells(u)
-        total = max(cells) if use_max else sum(cells)
-        for _ in range(int(cfg.max_sweeps)):
-            sweep_gain = 0.0
-            for (i, j) in pairs:
-                for phase in (0.0, math.pi / 2):
-                    w = 1.0 if phase == 0.0 else -1j
-                    ma = 0.5 * float(np.real(a[i, i] + a[j, j]))
-                    da = 0.5 * float(np.real(a[i, i] - a[j, j]))
-                    ca = float((w * a[i, j]).real)
-                    mb = 0.5 * float(np.real(b[i, i] + b[j, j]))
-                    db = 0.5 * float(np.real(b[i, i] - b[j, j]))
-                    cb = float((w * b[i, j]).real)
-                    if use_max:
-                        rest = max((cells[k] for k in range(dim)
-                                    if k not in (i, j)), default=0.0)
-
-                        def pair_total(t: float) -> float:
-                            c2, s2 = math.cos(2 * t), math.sin(2 * t)
-                            pi_ = ma + da * c2 + ca * s2
-                            xi_ = mb + db * c2 + cb * s2
-                            return max(rest, cell(pi_, xi_),
-                                       cell(2 * ma - pi_, 2 * mb - xi_))
-                    else:
-                        rest = total - cells[i] - cells[j]
-
-                        def pair_total(t: float) -> float:
-                            c2, s2 = math.cos(2 * t), math.sin(2 * t)
-                            pi_ = ma + da * c2 + ca * s2
-                            xi_ = mb + db * c2 + cb * s2
-                            return rest + cell(pi_, xi_) \
-                                + cell(2 * ma - pi_, 2 * mb - xi_)
-
-                    vals = [pair_total(t) for t in _GRID]
-                    kbest = max(range(len(_GRID)), key=vals.__getitem__)
-                    t0 = _GRID[kbest]
-                    t_star, v_star = _golden_max(
-                        pair_total, t0 - _SPACING, t0 + _SPACING, 1e-8
-                    )
-                    if vals[kbest] > v_star:
-                        t_star, v_star = t0, vals[kbest]
-                    if v_star > total + cfg.step_tol:
-                        c, s = math.cos(t_star), math.sin(t_star)
-                        g = np.array([[c, -s * np.exp(1j * phase)],
-                                      [s * np.exp(-1j * phase), c]],
-                                     dtype=complex)
-                        for mat in (a, b):
-                            mat[:, [i, j]] = mat[:, [i, j]] @ g
-                            mat[[i, j], :] = g.conj().T @ mat[[i, j], :]
-                        u[:, [i, j]] = u[:, [i, j]] @ g
-                        cells[i] = cell(float(np.real(a[i, i])),
-                                        float(np.real(b[i, i])))
-                        cells[j] = cell(float(np.real(a[j, j])),
-                                        float(np.real(b[j, j])))
-                        sweep_gain += v_star - total
-                        total = max(cells) if use_max else sum(cells)
-            if sweep_gain <= cfg.step_tol:
-                break
-        if total > best_total:
-            best_total = total
-            best_u = u.copy()
+    for lo in range(0, restarts, _BLOCK):
+        starts = range(lo, min(lo + _BLOCK, restarts))
+        totals, us = _search_block(rho, x, starts, cfg, cell, use_max)
+        k = int(totals.argmax())  # the first row with the largest total
+        if totals[k] > best_total:
+            best_total = float(totals[k])
+            best_u = us[k]
 
     value = _reduce(best_total, objective, alpha)
     povm = quantum.POVM(

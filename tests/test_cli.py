@@ -184,6 +184,26 @@ def test_bound_heisenberg_overflow_exits_3(tmp_path, capsys, h):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("kind, inputs", [
+    ("bhatia_davis", {"hamiltonian": np.diag([1e200, -1e200]),
+                      "state": np.eye(2) / 2.0}),
+    ("nonhermitian", {"hamiltonian": np.diag([1e200, -1e200]),
+                      "gamma": np.diag([1e300, 0.0])}),
+])
+def test_bound_overflow_exits_3(tmp_path, capsys, kind, inputs):
+    argv = ["bound", "--kind", kind]
+    for flag, m in inputs.items():
+        argv += ["--" + flag, write(tmp_path, flag + ".json", matrix_json(m))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "overflows" in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_bound_ksep(capsys):
     report = run_json(capsys, ["bound", "--kind", "ksep", "--n-qubits", "4",
                                "--k", "1", "--alpha", "1"])
@@ -341,6 +361,18 @@ def test_validate_rejects_non_finite_entries(tmp_path, capsys, literal):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "entries[0][0][0] must be a finite number" in err
+
+
+def test_validate_rejects_huge_integer_literal(tmp_path, capsys):
+    # past Python's int-digit limit json.loads raises a plain ValueError
+    path = tmp_path / "rho.json"
+    path.write_text('{"dim": 2, "entries": [[[%s, 0], [0, 0]], '
+                    '[[0, 0], [0.5, 0]]]}' % ("1" * 5000))
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "rho.json" in err and "digits" in err
 
 
 def test_validate_role_override(tmp_path, capsys):

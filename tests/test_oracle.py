@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspeed import matcore, oracle, quantum
 from qspeed.errors import InvalidInputError
@@ -286,3 +288,96 @@ def test_search_objective_validation():
                         partner=PLUS_RHO)  # stray partner
     with pytest.raises(InvalidInputError):
         brute_force_max(Z0, 0.0, "f_alpha", 1.0, cfg=FAST)  # not a family
+
+
+# values the scalar search (one restart after another) returned for these
+# inputs; the batched search must reproduce them
+PINNED = {
+    (2, "f_alpha", 1.0): 2.1681157183157804,
+    (2, "f_alpha", 1.5): 3.192446933797024,
+    (2, "f_alpha", 2.0): 4.700725768007938,
+    (2, "sf_alpha", 1.5): 1.7208345860216292,
+    (2, "sf_alpha", 3.0): 1.3658273160569976,
+    (2, "sf_alpha", math.inf): 1.0840578591578904,
+    (2, "d_alpha", 1.0): 0.8032117532564097,
+    (2, "d_alpha", 2.0): 0.6413526323178637,
+    (2, "sd_alpha", 1.5): 0.8032117532564097,
+    (2, "sd_alpha", math.inf): 0.8032117532564099,
+    (3, "f_alpha", 1.0): 1.794946666404987,
+    (3, "f_alpha", 1.5): 2.794336634584954,
+    (3, "f_alpha", 2.0): 4.608065380178097,
+    (3, "sf_alpha", 1.5): 1.3554397463956023,
+    (3, "sf_alpha", 3.0): 1.0615229877583305,
+    (3, "sf_alpha", math.inf): 0.8974733332024954,
+    (3, "d_alpha", 1.0): 0.737918185309735,
+    (3, "d_alpha", 2.0): 0.6228118611947683,
+    (3, "sd_alpha", 1.5): 0.7209973714140161,
+    (3, "sd_alpha", math.inf): 0.7379181853097361,
+}
+
+
+@pytest.mark.parametrize("dim, objective, alpha", sorted(PINNED))
+def test_search_pinned_values(dim, objective, alpha):
+    if objective in ("f_alpha", "sf_alpha"):
+        fam = ParametricFamily.unitary(
+            random_instance("hermitian", dim, 4100 + dim, 0),
+            random_instance("density", dim, 4200 + dim, 0))
+        value, _ = brute_force_max(fam, 0.0, objective, alpha, cfg=FAST)
+    else:
+        value, _ = brute_force_max(
+            random_instance("density", dim, 4300 + dim, 0), 0.0, objective,
+            alpha, cfg=FAST,
+            partner=random_instance("density", dim, 4400 + dim, 0))
+    assert value == pytest.approx(PINNED[dim, objective, alpha], rel=1e-12)
+
+
+def test_search_restarts_past_one_block():
+    fam = random_qubit_family(9)
+    block = oracle._BLOCK
+    one, _ = brute_force_max(fam, 0.0, "f_alpha", 1.5,
+                             cfg=SearchConfig(restarts=block))
+    more = [brute_force_max(fam, 0.0, "f_alpha", 1.5,
+                            cfg=SearchConfig(restarts=block + 1))[0]
+            for _ in range(2)]
+    assert more[0] == more[1]
+    assert more[0] >= one
+
+
+def test_search_blocks_bound_the_batch(monkeypatch):
+    fam = random_qubit_family(10)
+    cfg = SearchConfig(restarts=7, seed=2)
+    whole, _ = brute_force_max(fam, 0.0, "f_alpha", 2.0, cfg=cfg)
+    sizes = []
+    search_block = oracle._search_block
+
+    def recording(rho, x, starts, *args):
+        sizes.append(len(starts))
+        return search_block(rho, x, starts, *args)
+
+    monkeypatch.setattr(oracle, "_BLOCK", 3)
+    monkeypatch.setattr(oracle, "_search_block", recording)
+    split, _ = brute_force_max(fam, 0.0, "f_alpha", 2.0, cfg=cfg)
+    assert sizes == [3, 3, 1]
+    assert split == pytest.approx(whole, rel=1e-12)
+
+
+_entry = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(h=st.tuples(_entry, _entry, _entry, _entry),
+       bloch=st.tuples(_entry, _entry, _entry))
+def test_search_never_exceeds_closed_forms_property(h, bloch):
+    ham = np.array([[h[0], h[2] + 1j * h[3]], [h[2] - 1j * h[3], h[1]]])
+    r = np.array(bloch) / max(5.0, float(np.linalg.norm(bloch)))
+    rho = 0.5 * np.array([[1.0 + r[2], r[0] - 1j * r[1]],
+                          [r[0] + 1j * r[1], 1.0 - r[2]]])
+    fam = ParametricFamily.unitary(ham, rho)
+    closed = {("f_alpha", 1.0): quantum.trace_speed(fam, 0.0),
+              ("f_alpha", 2.0): quantum.qfi(fam, 0.0)}
+    for alpha in (1.5, 3.0, math.inf):
+        closed["sf_alpha", alpha] = quantum.schatten_speed(fam, 0.0, alpha)
+    cfg = SearchConfig(restarts=2, seed=0)
+    for (objective, alpha), cap in closed.items():
+        value, _ = brute_force_max(fam, 0.0, objective, alpha, cfg=cfg)
+        assert value <= cap + 1e-9 * max(1.0, cap)
