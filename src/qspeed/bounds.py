@@ -20,17 +20,12 @@ from .errors import (
     InvalidInputError,
     NumericalConsistencyError,
 )
-from .matcore import Superoperator
+from .matcore import Superoperator, require_alpha
 from .seeding import generator
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def _check_alpha(alpha: float):
-    if alpha != math.inf and not alpha >= 1.0:
-        raise InvalidInputError(f"alpha must be >= 1 or inf, got {alpha}")
 
 
 # -- collective spins on qubit registers ------------------------------
@@ -134,6 +129,10 @@ def bhatia_davis_bound(h, rho) -> float:
 # -- induced superoperator norm ---------------------------------------
 
 
+# iteration cap of each superop_norm restart
+_MAX_ITERS = 300
+
+
 class SuperopNorm(NamedTuple):
     value: float
     state: np.ndarray
@@ -153,7 +152,7 @@ def _numeric_gradient(fn: Callable[[np.ndarray], float], z: np.ndarray,
 
 
 def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
-                 seed: int = 0, max_iters: int = 300) -> SuperopNorm:
+                 seed: int = 0) -> SuperopNorm:
     """Induced norm sup ||L[|psi><psi|]||_alpha over unit vectors psi.
 
     The supremum over density operators is attained on pure states, so the
@@ -164,13 +163,13 @@ def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
     ``converged`` is False when the best run only stopped at the iteration
     cap.  Deterministic for a fixed seed.
     """
-    _check_alpha(alpha)
+    require_alpha(alpha)
     defect = op.hermiticity_preservation_defect()
     scale = max(float(np.linalg.norm(op.matrix)), 1.0)
     if defect > 1e-9 * scale:
         raise InvalidInputError(
             "superoperator must preserve Hermiticity "
-            f"(defect {defect:.3g} on random Hermitian operands)"
+            f"(max|conj(M) - S M S| = {defect:.3g})"
         )
     dim = op.dim
 
@@ -191,7 +190,7 @@ def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
         val = objective(z)
         step = 0.1
         converged = False
-        for _ in range(int(max_iters)):
+        for _ in range(_MAX_ITERS):
             grad = _numeric_gradient(objective, z)
             grad -= z * float(z @ grad)  # tangent to the sphere
             gnorm = float(np.linalg.norm(grad))
@@ -236,25 +235,6 @@ class NonHermitianBound(NamedTuple):
     r_opt: float
 
 
-def _golden_min(fn: Callable[[float], float], a: float, b: float,
-                tol: float) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    r = 0.5 * (a + b)
-    return r, fn(r)
-
-
 def _dephasing_min_norm(h: np.ndarray, gamma: np.ndarray) -> tuple[float, float]:
     """Closed-form min_r ||H - i Gamma - r I||_inf for commuting 2x2 pairs.
 
@@ -282,6 +262,28 @@ def _dephasing_min_norm(h: np.ndarray, gamma: np.ndarray) -> tuple[float, float]
     return math.sqrt(y0), r0
 
 
+def _pow2_scale(a: np.ndarray) -> float:
+    """The largest power of two at or below max(|Re a|, |Im a|), or 1."""
+    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    return math.ldexp(1.0, max(math.frexp(top)[1] - 1, 0))
+
+
+def _commute_2x2(h: np.ndarray, gamma: np.ndarray) -> bool:
+    """||[H, Gamma]||_F <= 1e-12 max(||H||_F ||Gamma||_F, 1), without overflow.
+
+    Each matrix is first divided by a power of two, which leaves its
+    entries below 2 in real and imaginary part.  That division is exact, so
+    wherever neither the scaled nor the unscaled products overflow or
+    underflow, the test decides as the unscaled one does, bit for bit;
+    matrices with entries below 2 are not scaled at all.
+    """
+    sh, sg = _pow2_scale(h), _pow2_scale(gamma)
+    hs, gs = h / sh, gamma / sg
+    comm = float(np.linalg.norm(matcore.commutator(hs, gs)))
+    scale = float(np.linalg.norm(hs)) * float(np.linalg.norm(gs))
+    return comm <= 1e-12 * max(scale, 1.0 / sh / sg)
+
+
 def nonhermitian_speed_bound(h, gamma) -> NonHermitianBound:
     """Speed caps for evolution generated by H - i Gamma.
 
@@ -290,12 +292,10 @@ def nonhermitian_speed_bound(h, gamma) -> NonHermitianBound:
     family, hence convex, so a grid scan plus golden-section search over
     [lmin(H) - ||Gamma||_inf, lmax(H) + ||Gamma||_inf] finds the global
     minimum.  Commuting 2x2 pairs use the closed form of the two-parabola
-    crossing and are cross-checked against the search.
+    crossing and are cross-checked against the search.  Raises
+    NumericalConsistencyError when the interval or the caps overflow.
     """
-    h = matcore.require_hermitian(h, "H")
-    gamma = matcore.require_hermitian(gamma, "Gamma")
-    if gamma.shape != h.shape:
-        raise InvalidInputError("H and Gamma must have the same shape")
+    h, gamma = matcore.require_h_gamma(h, gamma)
     dim = h.shape[0]
     heff = h - 1j * gamma
     eye = np.eye(dim)
@@ -307,6 +307,11 @@ def nonhermitian_speed_bound(h, gamma) -> NonHermitianBound:
     gnorm = float(np.abs(np.linalg.eigvalsh(gamma)).max())
     lo = float(wh[0]) - gnorm
     hi = float(wh[-1]) + gnorm
+    if not math.isfinite(hi - lo):
+        raise NumericalConsistencyError(
+            f"non-Hermitian speed bound overflows: the shift interval "
+            f"[{lo:.6g}, {hi:.6g}] has no finite width"
+        )
     if hi - lo <= 1e-15 * max(1.0, abs(hi), abs(lo)):
         q_min, r_min = q(lo), lo
     else:
@@ -316,18 +321,18 @@ def nonhermitian_speed_bound(h, gamma) -> NonHermitianBound:
         a = float(grid[max(j - 1, 0)])
         b = float(grid[min(j + 1, len(grid) - 1)])
         tol = 1e-12 * max(1.0, hi - lo)
-        r_min, q_min = _golden_min(q, a, b, tol)
-    # Python floats overflow to inf silently; the commutator test below
-    # would overflow numpy's matmul on such inputs
+        r, neg_q = matcore.golden_rows(
+            lambda t: np.array([-q(float(t[0]))]),
+            np.array([a]), np.array([b]), tol)
+        r_min, q_min = float(r[0]), -float(neg_q[0])
+    # Python floats overflow to inf silently
     if not math.isfinite(4.0 * q_min * q_min):
         raise NumericalConsistencyError(
             f"non-Hermitian speed bound overflows: 4 q^2 with q = "
             f"{q_min:.6g} is not a finite float"
         )
 
-    comm = float(np.linalg.norm(matcore.commutator(h, gamma)))
-    comm_scale = float(np.linalg.norm(h)) * float(np.linalg.norm(gamma))
-    if dim == 2 and comm <= 1e-12 * max(comm_scale, 1.0):
+    if dim == 2 and _commute_2x2(h, gamma):
         closed, r_closed = _dephasing_min_norm(h, gamma)
         if abs(closed - q_min) > 1e-8 * max(1.0, closed):
             raise NumericalConsistencyError(
@@ -356,7 +361,7 @@ def ksep_bound(n_qubits: int, k: int, alpha: float) -> float:
         raise InvalidInputError("qubit count must be positive")
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must satisfy 1 <= k <= N, got k={k}, N={n}")
-    _check_alpha(alpha)
+    require_alpha(alpha)
     s, r = divmod(n, k)
     expo = -1.0 if alpha == math.inf else (1.0 - alpha) / alpha
     return float(2.0 ** expo * math.sqrt(s * k * k + r * r))
@@ -437,7 +442,7 @@ def asep_bound(rho, part: Partition, alpha: float) -> float:
     it is computed on the submitted state.
     """
     rho = matcore.require_density(rho)
-    _check_alpha(alpha)
+    require_alpha(alpha)
     if rho.shape[0] != part.dim:
         raise InvalidInputError(
             f"dimension mismatch: partition is {part.dim}, rho is {rho.shape[0]}"
@@ -447,8 +452,7 @@ def asep_bound(rho, part: Partition, alpha: float) -> float:
         mean = float(np.real(np.trace(rho @ hk)))
         mean_sq = float(np.real(np.trace(rho @ hk @ hk)))
         total += max(mean_sq - mean * mean, 0.0)
-    expo = 0.0 if alpha == math.inf else 1.0 / alpha
-    return float(2.0 ** expo * math.sqrt(total))
+    return float(2.0 ** (1.0 / alpha) * math.sqrt(total))
 
 
 def local_generator_sep_bound(local_maps: Sequence[Superoperator], *,
@@ -457,23 +461,27 @@ def local_generator_sep_bound(local_maps: Sequence[Superoperator], *,
 
     Additivity plus convexity give F_2 <= sum_i ||L_i||_1^2 with each norm
     taken on the local space.  Commutator maps contribute their exact
-    spectral gap squared, shifted non-Hermitian maps contribute
-    4 min_r ||H_eff - r I||_inf^2, and explicit-matrix maps fall back to
-    the seeded norm optimizer.
+    spectral gap squared (the Heisenberg limit), shifted non-Hermitian maps
+    contribute 4 min_r ||H_eff - r I||_inf^2, and explicit-matrix maps fall
+    back to the seeded norm optimizer.  Raises NumericalConsistencyError
+    when the sum overflows.
     """
     total = 0.0
     for i, op in enumerate(local_maps):
         if not isinstance(op, Superoperator):
             raise InvalidInputError("local generators must be superoperators")
         if op.kind == "hamiltonian":
-            w = np.linalg.eigvalsh(op.h)
-            gap = float(w[-1] - w[0])
-            total += gap * gap
+            total += heisenberg_limit(op.h).f2_max
         elif op.kind == "non_hermitian":
             total += nonhermitian_speed_bound(op.h, op.gamma).f2_bound
         else:
             norm = superop_norm(op, 1.0, seed=seed + i, restarts=restarts)
             total += norm.value ** 2
+    if not math.isfinite(total):
+        raise NumericalConsistencyError(
+            "separable local-generator bound overflows: the summed caps are "
+            "not a finite float"
+        )
     return float(total)
 
 
@@ -635,7 +643,7 @@ def witness(subject, generator_spec=None, *, kind: str = "ksep",
     only when the speed exceeds the cap by a 1e-9 relative margin, so the
     witness never fires on numerical noise.
     """
-    _check_alpha(alpha)
+    require_alpha(alpha)
     fam = _as_family(subject, generator_spec)
     speed = quantum.schatten_speed(fam, theta, alpha)
     if kind == "ksep":

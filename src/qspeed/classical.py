@@ -21,10 +21,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .matcore import P_FLOOR
+from .matcore import P_FLOOR, require_alpha
 
 SUM_TOL = 1e-9
 NEG_CLIP = 1e-12
+
+
+# One function per invariant of a distribution, as in matcore: it returns
+# the violation's size, or 0.0 when the invariant holds.
+
+
+def negativity_violation(p: np.ndarray) -> float:
+    """-min_x p_x when it exceeds NEG_CLIP."""
+    low = float(np.min(p))
+    return -low if low < -NEG_CLIP else 0.0
+
+
+def sum_violation(x: np.ndarray, target: float) -> float:
+    """|sum_x x_x - target| when it exceeds SUM_TOL."""
+    dev = abs(float(np.sum(x)) - target)
+    return dev if dev > SUM_TOL else 0.0
 
 
 def as_prob(weights, name: str = "weights") -> np.ndarray:
@@ -34,11 +50,13 @@ def as_prob(weights, name: str = "weights") -> np.ndarray:
         raise InvalidInputError(f"{name} is empty")
     if not np.all(np.isfinite(p)):
         raise InvalidInputError(f"{name} has non-finite entries")
-    if np.min(p) < -NEG_CLIP:
-        raise InvalidInputError(f"{name} has negative entry {np.min(p):.3e}")
-    total = float(np.sum(p))
-    if abs(total - 1.0) > SUM_TOL:
-        raise InvalidInputError(f"{name} sums to {total:.12g}, expected 1")
+    neg = negativity_violation(p)
+    if neg:
+        raise InvalidInputError(f"{name} has negative entry {-neg:.3e}")
+    if sum_violation(p, 1.0):
+        raise InvalidInputError(
+            f"{name} sums to {float(np.sum(p)):.12g}, expected 1"
+        )
     return np.clip(p, 0.0, None)
 
 
@@ -61,7 +79,7 @@ class ParametricDist:
             )
         if not np.all(np.isfinite(dp)):
             raise InvalidInputError("derivative has non-finite entries")
-        if abs(float(np.sum(dp))) > SUM_TOL:
+        if sum_violation(dp, 0.0):
             raise InvalidInputError(
                 f"derivative sums to {np.sum(dp):.3e}, normalization not conserved"
             )
@@ -70,11 +88,6 @@ class ParametricDist:
 
     def __len__(self) -> int:
         return self.weights.size
-
-
-def _check_alpha(alpha: float):
-    if not (alpha >= 1):
-        raise InvalidInputError(f"alpha must be >= 1, got {alpha}")
 
 
 def _check_pair(p: np.ndarray, q: np.ndarray):
@@ -89,7 +102,7 @@ def dist_alpha(p, q, alpha: float) -> float:
 
     Hellinger distance at alpha=2, Kolmogorov distance at alpha=1.
     """
-    _check_alpha(alpha)
+    require_alpha(alpha)
     p = as_prob(p, "p")
     q = as_prob(q, "q")
     _check_pair(p, q)
@@ -99,7 +112,7 @@ def dist_alpha(p, q, alpha: float) -> float:
 
 def dist_schatten_alpha(p, q, alpha: float) -> float:
     """sd_alpha(p,q) = (1/2 sum_x |p_x - q_x|^alpha)^(1/alpha)."""
-    _check_alpha(alpha)
+    require_alpha(alpha)
     p = as_prob(p, "p")
     q = as_prob(q, "q")
     _check_pair(p, q)
@@ -116,7 +129,7 @@ def gen_fisher(d: ParametricDist, alpha: float) -> float:
     value +inf is returned rather than raising) while for alpha = 1 the
     outcome contributes |p'_x|.
     """
-    _check_alpha(alpha)
+    require_alpha(alpha)
     p = d.weights
     dp = d.derivative
     live = p > P_FLOOR
@@ -131,7 +144,7 @@ def gen_fisher(d: ParametricDist, alpha: float) -> float:
 
 def schatten_fisher(d: ParametricDist, alpha: float) -> float:
     """sf_alpha = (sum_x |p'_x|^alpha)^(1/alpha).  Coincides with f_1 at alpha=1."""
-    _check_alpha(alpha)
+    require_alpha(alpha)
     a = np.abs(d.derivative)
     if np.isinf(alpha):
         return float(np.max(a))
@@ -145,7 +158,7 @@ def classical_speed(d: ParametricDist, alpha: float, family: str = "power") -> f
                        which reduces to sqrt(f_2 / 8) at alpha = 2;
     family "schatten": ss_alpha = 2^(-1/alpha) sf_alpha.
     """
-    _check_alpha(alpha)
+    require_alpha(alpha)
     if family == "power":
         f = gen_fisher(d, alpha)
         if np.isinf(f):
@@ -210,7 +223,7 @@ def speed_from_samples(snapshots, alpha: float, family: str = "schatten"):
     with distance below 0.2.  Returns (slope, rms residual).  Sampling
     noise makes the estimate a lower bound on the underlying speed.
     """
-    _check_alpha(alpha)
+    require_alpha(alpha)
     if family not in ("power", "schatten"):
         raise InvalidInputError(f"unknown speed family {family!r}")
     if len(snapshots) < 3:
@@ -251,7 +264,7 @@ def product_dist(a: ParametricDist, b: ParametricDist) -> ParametricDist:
 def mixture_dist(dists, weights) -> ParametricDist:
     """Convex mixture of parametrized distributions over the same outcomes."""
     weights = np.asarray(weights, dtype=float)
-    if abs(float(np.sum(weights)) - 1.0) > SUM_TOL or np.min(weights) < 0:
+    if sum_violation(weights, 1.0) or np.min(weights) < 0:
         raise InvalidInputError("mixture weights must be a probability vector")
     w = sum(q * d.weights for q, d in zip(weights, dists))
     dw = sum(q * d.derivative for q, d in zip(weights, dists))

@@ -53,7 +53,6 @@ def _cmd_speed(args):
     f1 = quantum.trace_speed(fam, theta)
     f2 = quantum.qfi(fam, theta)
     sf = quantum.schatten_speed(fam, theta, alpha)
-    scale = 1.0 if alpha == math.inf else 2.0 ** (-1.0 / alpha)
     report = {
         "theta": theta,
         "alpha": alpha,
@@ -62,7 +61,7 @@ def _cmd_speed(args):
         "SFalpha": sf,
         "S1": 0.5 * f1,
         "S2": math.sqrt(max(f2, 0.0) / 8.0),
-        "SSalpha": scale * sf,
+        "SSalpha": 2.0 ** (-1.0 / alpha) * sf,
     }
     if args.povm is not None:
         povm = quantum.optimal_povm(fam, theta, target=args.povm)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from . import bounds, matcore, quantum
+from . import bounds, classical, matcore, quantum
 from .errors import InvalidInputError
 
 _ROLES = ("auto", "density", "hermitian", "povm", "prob", "family", "snapshots")
@@ -41,6 +41,10 @@ def load_json(path: str):
     except ValueError as exc:
         # an integer literal past Python's int-digit limit
         raise InvalidInputError(f"{path}: unreadable number: {exc}") from exc
+    except RecursionError:
+        raise InvalidInputError(
+            f"{path}: JSON nesting exceeds the parser's depth limit"
+        ) from None
 
 
 def _require_number(value, field: str) -> float:
@@ -334,38 +338,11 @@ def _detect_role(obj) -> str:
     )
 
 
-def _matrix_diagnostics(a: np.ndarray, role: str, name: str) -> list:
-    diags = []
-    asym = float(np.abs(a - a.conj().T).max())
-    if asym > matcore.HERM_TOL:
-        diags.append({
-            "check": "hermiticity",
-            "magnitude": asym,
-            "message": f"{name}: max asymmetry entry {asym:.6g}",
-        })
-    if role == "density":
-        trace_dev = abs(float(np.real(np.trace(a))) - 1.0)
-        if trace_dev > matcore.TRACE_TOL:
-            diags.append({
-                "check": "trace",
-                "magnitude": trace_dev,
-                "message": f"{name}: trace deviation {trace_dev:.6g}",
-            })
-        herm = 0.5 * (a + a.conj().T)
-        w = np.linalg.eigvalsh(herm)
-        tol = matcore.psd_tol(a.shape[0], float(np.abs(w).max()) if w.size else 0.0)
-        if float(w[0]) < -tol:
-            diags.append({
-                "check": "positivity",
-                "magnitude": float(-w[0]),
-                "message": f"{name}: negative eigenvalue {float(w[0]):.6g}",
-            })
-    return diags
-
-
 def validate_file(path: str, role: str = "auto"):
-    """Run the type invariants for a file and report each violation.
+    """Run the library's input checks on a file and report each violation.
 
+    The checks are the ones the library raises from (matcore, quantum and
+    classical), but every violation is reported rather than the first.
     Returns (resolved role, diagnostics); each diagnostic carries the
     check name, the violation magnitude, and a message.
     """
@@ -375,9 +352,31 @@ def validate_file(path: str, role: str = "auto"):
     if role == "auto":
         role = _detect_role(obj)
     diags: list = []
+
+    def flag(check: str, magnitude: float, message: str) -> None:
+        if magnitude:  # 0.0 is a pass; NaN is a failure without a size
+            diags.append({"check": check, "magnitude": magnitude,
+                          "message": message})
+
+    def hermitian(a: np.ndarray, name: str) -> np.ndarray:
+        asym = matcore.hermiticity_violation(a)
+        flag("hermiticity", asym, f"{name}: max asymmetry entry {asym:.6g}")
+        return matcore.hermitian_part(a)
+
+    def positive(h: np.ndarray, name: str) -> None:
+        neg = matcore.positivity_violation(h)
+        flag("positivity", neg, f"{name}: negative eigenvalue {-neg:.6g}")
+
+    def normalized(w: np.ndarray, name: str) -> None:
+        dev = classical.sum_violation(w, 1.0)
+        flag("normalization", dev, f"{name}: sum deviation {dev:.6g}")
+
     if role in ("density", "hermitian"):
-        a = matrix_from_json(obj)
-        diags = _matrix_diagnostics(a, role, "matrix")
+        h = hermitian(matrix_from_json(obj), "matrix")
+        if role == "density":
+            dev = matcore.trace_violation(h)
+            flag("trace", dev, f"matrix: trace deviation {dev:.6g}")
+            positive(h, "matrix")
     elif role == "povm":
         if not isinstance(obj, dict) or "elements" not in obj \
                 or not isinstance(obj["elements"], list) or not obj["elements"]:
@@ -386,79 +385,38 @@ def validate_file(path: str, role: str = "auto"):
             )
         mats = [matrix_from_json(e, f"elements[{i}]")
                 for i, e in enumerate(obj["elements"])]
-        dims = {m.shape[0] for m in mats}
-        if len(dims) != 1:
+        if len({m.shape[0] for m in mats}) != 1:
             raise InvalidInputError("povm elements must share one dimension")
-        total = np.zeros_like(mats[0])
-        for i, m in enumerate(mats):
-            for d in _matrix_diagnostics(m, "density", f"elements[{i}]"):
-                if d["check"] != "trace":  # elements need not have unit trace
-                    diags.append(d)
-            total = total + m
-        defect = float(np.abs(total - np.eye(total.shape[0])).max())
-        if defect > quantum.COMPLETENESS_TOL:
-            diags.append({
-                "check": "completeness",
-                "magnitude": defect,
-                "message": f"povm: completeness defect {defect:.6g}",
-            })
+        parts = []
+        for i, m in enumerate(mats):  # elements need not have unit trace
+            parts.append(hermitian(m, f"elements[{i}]"))
+            positive(parts[-1], f"elements[{i}]")
+        defect = quantum.completeness_violation(parts)
+        flag("completeness", defect, f"povm: completeness defect {defect:.6g}")
     elif role == "prob":
         w, deriv = prob_from_json(obj)
-        neg = float(np.min(w))
-        if neg < -1e-12:
-            diags.append({
-                "check": "positivity",
-                "magnitude": -neg,
-                "message": f"weights: negative entry {neg:.6g}",
-            })
-        sum_dev = abs(float(np.sum(w)) - 1.0)
-        if sum_dev > 1e-9:
-            diags.append({
-                "check": "normalization",
-                "magnitude": sum_dev,
-                "message": f"weights: sum deviation {sum_dev:.6g}",
-            })
+        neg = classical.negativity_violation(w)
+        flag("positivity", neg, f"weights: negative entry {-neg:.6g}")
+        normalized(w, "weights")
         if deriv is not None:
-            dsum = abs(float(np.sum(deriv)))
-            if dsum > 1e-9:
-                diags.append({
-                    "check": "derivative-sum",
-                    "magnitude": dsum,
-                    "message": f"derivative: sum deviation {dsum:.6g}",
-                })
+            dsum = classical.sum_violation(deriv, 0.0)
+            flag("derivative-sum", dsum,
+                 f"derivative: sum deviation {dsum:.6g}")
     elif role == "family":
         try:
             family_from_json(obj)
         except InvalidInputError as exc:
-            diags.append({
-                "check": "family",
-                "magnitude": math.nan,
-                "message": str(exc),
-            })
+            flag("family", math.nan, str(exc))
     elif role == "snapshots":
         try:
             snaps = snapshots_from_json(obj)
         except InvalidInputError as exc:
-            diags.append({
-                "check": "snapshots",
-                "magnitude": math.nan,
-                "message": str(exc),
-            })
+            flag("snapshots", math.nan, str(exc))
         else:
             for i, (_, w) in enumerate(snaps):
-                sum_dev = abs(float(np.sum(w)) - 1.0)
-                if sum_dev > 1e-9:
-                    diags.append({
-                        "check": "normalization",
-                        "magnitude": sum_dev,
-                        "message":
-                            f"snapshots[{i}]: sum deviation {sum_dev:.6g}",
-                    })
+                normalized(w, f"snapshots[{i}]")
             thetas = [t for t, _ in snaps]
             if any(b <= a for a, b in zip(thetas, thetas[1:])):
-                diags.append({
-                    "check": "grid",
-                    "magnitude": math.nan,
-                    "message": "snapshots: theta grid must increase strictly",
-                })
+                flag("grid", math.nan,
+                     "snapshots: theta grid must increase strictly")
     return role, diags

@@ -10,6 +10,8 @@ its input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -20,6 +22,13 @@ from .errors import InvalidInputError
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
 P_FLOOR = 1e-12
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def require_alpha(alpha: float) -> None:
+    """Reject an order outside [1, inf]; NaN fails the comparison too."""
+    if not alpha >= 1:
+        raise InvalidInputError(f"alpha must be >= 1 or inf, got {alpha}")
 
 
 def psd_tol(dim: int, norm_inf: float) -> float:
@@ -50,38 +59,73 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(a, name: str = "operator", tol: float = HERM_TOL) -> np.ndarray:
-    """Validate Hermiticity within tol and return the symmetrized matrix.
-
-    Symmetrizing A/2 + A^dag/2 removes roundoff-level asymmetry so that
-    downstream eigh calls see an exactly Hermitian matrix.  Halving first
-    cannot overflow, and halving is exact, so for finite inputs that do not
-    underflow this equals (A + A^dag)/2 exactly (a zero may change sign).
-    """
-    a = as_matrix(a, name)
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise InvalidInputError(
-            f"{name} is not Hermitian: max|A - A^dag| = {defect:.3e} > {tol:.1e}"
-        )
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 as A/2 + (A/2)^dag, which cannot overflow and, halving
+    being exact, is the same matrix for finite inputs that do not underflow
+    (a zero may change sign)."""
     h = a / 2
     h += h.conj().T
     return h
 
 
+# One function per input invariant: it returns the violation's size, or 0.0
+# when the invariant holds.  The validators raise from these, and
+# `qspeed validate` reports them.
+
+
+def hermiticity_violation(a: np.ndarray, tol: float = HERM_TOL) -> float:
+    """max |A - A^dag| when it exceeds tol."""
+    defect = hermiticity_defect(a)
+    return defect if defect > tol else 0.0
+
+
+def trace_violation(a: np.ndarray) -> float:
+    """|Re Tr A - 1| when it exceeds TRACE_TOL."""
+    dev = abs(float(a.trace().real) - 1.0)
+    return dev if dev > TRACE_TOL else 0.0
+
+
+def positivity_violation(h: np.ndarray) -> float:
+    """-lambda_min of a Hermitian matrix when lambda_min < -psd_tol."""
+    w = np.linalg.eigvalsh(h)
+    if w.size and w[0] < -psd_tol(h.shape[0], float(np.max(np.abs(w)))):
+        return float(-w[0])
+    return 0.0
+
+
+def require_hermitian(a, name: str = "operator", tol: float = HERM_TOL) -> np.ndarray:
+    """Validate Hermiticity within tol; return the exactly Hermitian part."""
+    a = as_matrix(a, name)
+    defect = hermiticity_violation(a, tol)
+    if defect:
+        raise InvalidInputError(
+            f"{name} is not Hermitian: max|A - A^dag| = {defect:.3e} > {tol:.1e}"
+        )
+    return hermitian_part(a)
+
+
 def require_density(rho, name: str = "rho") -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD within tolerance."""
     rho = require_hermitian(rho, name)
-    tr = float(rho.trace().real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise InvalidInputError(f"{name} has trace {tr:.12g}, expected 1")
-    w = np.linalg.eigvalsh(rho)
-    norm_inf = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -psd_tol(rho.shape[0], norm_inf):
+    if trace_violation(rho):
         raise InvalidInputError(
-            f"{name} has negative eigenvalue {w[0]:.3e} beyond tolerance"
+            f"{name} has trace {float(rho.trace().real):.12g}, expected 1"
+        )
+    neg = positivity_violation(rho)
+    if neg:
+        raise InvalidInputError(
+            f"{name} has negative eigenvalue {-neg:.3e} beyond tolerance"
         )
     return rho
+
+
+def require_h_gamma(h, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the Hermitian pair of a generator H_eff = H - i Gamma."""
+    h = require_hermitian(h, "H")
+    gamma = require_hermitian(gamma, "Gamma")
+    if gamma.shape != h.shape:
+        raise InvalidInputError("H and Gamma must have the same shape")
+    return h, gamma
 
 
 def require_state(psi, name: str = "psi") -> np.ndarray:
@@ -123,13 +167,12 @@ def schatten_norm(a, alpha: float) -> float:
     take the cheaper eigvalsh path; the singular values are then the
     absolute eigenvalues.
     """
-    if not (alpha >= 1):
-        raise InvalidInputError(f"Schatten norm requires alpha >= 1, got {alpha}")
+    require_alpha(alpha)
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
-    if hermiticity_defect(a) <= HERM_TOL:
-        sv = np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2))
+    if not hermiticity_violation(a):
+        sv = np.abs(np.linalg.eigvalsh(hermitian_part(a)))
     else:
         sv = np.linalg.svd(a, compute_uv=False)
     if np.isinf(alpha):
@@ -192,6 +235,39 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def golden_rows(fn, a: np.ndarray, b: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximum of fn on each row's bracket [a, b].
+
+    ``fn`` maps an array of one point per row to the rows' values.  Every
+    row takes the branch that its own comparison fc > fd picks (ties go
+    right) and stops once its bracket is at most ``tol``.  Returns
+    (midpoints, values); minimize by negating fn.
+    """
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while True:
+        live = b - a > tol
+        n_live = np.count_nonzero(live)
+        if not n_live:
+            break
+        left = fc > fd  # the maximum lies in [a, d]
+        na = np.where(left, a, c)
+        nb = np.where(left, d, b)
+        w = _INV_PHI * (nb - na)
+        t = np.where(left, nb - w, na + w)
+        ft = fn(t)
+        step = (na, nb, np.where(left, t, d), np.where(left, c, t),
+                np.where(left, ft, fd), np.where(left, fc, ft))
+        if n_live < live.size:
+            step = [np.where(live, new, old)
+                    for new, old in zip(step, (a, b, c, d, fc, fd))]
+        a, b, c, d, fc, fd = step
+    t = 0.5 * (a + b)
+    return t, fn(t)
+
+
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(x).T.reshape(-1)
@@ -237,10 +313,7 @@ class Superoperator:
     @classmethod
     def from_non_hermitian(cls, h, gamma) -> "Superoperator":
         """The map rho -> -i(H_eff rho - rho H_eff^dag), H_eff = H - i Gamma."""
-        h = require_hermitian(h, "H")
-        gamma = require_hermitian(gamma, "Gamma")
-        if gamma.shape != h.shape:
-            raise InvalidInputError("H and Gamma must have the same shape")
+        h, gamma = require_h_gamma(h, gamma)
         dim = h.shape[0]
         h_eff = h - 1j * gamma
         eye = np.eye(dim)
@@ -267,19 +340,17 @@ class Superoperator:
             )
         return unvec(self.matrix @ vec(x), self.dim)
 
-    def hermiticity_preservation_defect(self, trials: int = 8, seed: int = 7) -> float:
-        """max |L[X] - L[X]^dag| over random Hermitian test operators X."""
-        from .seeding import generator
+    def hermiticity_preservation_defect(self) -> float:
+        """max |conj(M) - S M S|, entrywise, with S the vec-transpose swap.
 
-        rng = generator(seed)
-        worst = 0.0
-        for _ in range(trials):
-            g = rng.standard_normal((self.dim, self.dim)) \
-                + 1j * rng.standard_normal((self.dim, self.dim))
-            x = (g + g.conj().T) / 2
-            lx = self.apply(x)
-            worst = max(worst, hermiticity_defect(lx))
-        return worst
+        L[X^dag] = L[X]^dag for every X exactly when conj(M) = S M S,
+        since vec(X^dag) = conj(S vec(X)).  S M S only permutes entries:
+        row and column index i + j d become j + i d.
+        """
+        d = self.dim
+        sms = self.matrix.reshape(d, d, d, d).transpose(1, 0, 3, 2)
+        sms = sms.reshape(d * d, d * d)
+        return float(np.max(np.abs(self.matrix.conj() - sms)))
 
 
 def commutator_map(h) -> Superoperator:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matcore, quantum
 from .errors import InvalidInputError
-from .matcore import P_FLOOR
+from .matcore import P_FLOOR, golden_rows, require_alpha
 from .seeding import generator
 
 MAX_SEARCH_DIM = 4
@@ -28,7 +28,11 @@ _GRID = np.array([-math.pi / 2 + k * math.pi / 25 for k in range(25)])
 _GRID_C2 = np.array([math.cos(2 * t) for t in _GRID])
 _GRID_S2 = np.array([math.sin(2 * t) for t in _GRID])
 _SPACING = math.pi / 25
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# a Givens move or a sweep must raise a restart's total by more than
+# _STEP_TOL to count; a restart stops after _MAX_SWEEPS sweeps at most
+_STEP_TOL = 1e-12
+_MAX_SWEEPS = 60
 
 # restarts advance together as one stack of rows, at most this many at a
 # time, so memory stays O(_BLOCK d^2) for any restart count
@@ -37,11 +41,9 @@ _BLOCK = 256
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the POVM search; defaults match the test suite."""
+    """Restart count and seed of the POVM search; defaults match the tests."""
 
     restarts: int = 32
-    max_sweeps: int = 60
-    step_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -122,8 +124,6 @@ def _raw_distance(a: np.ndarray, b: np.ndarray, kind: str, alpha: float) -> floa
     if kind == "trace":
         return 0.5 * matcore.schatten_norm(a - b, 1)
     if kind == "schatten":
-        if math.isinf(alpha):
-            return matcore.schatten_norm(a - b, math.inf)
         return float(2.0 ** (-1.0 / alpha) * matcore.schatten_norm(a - b, alpha))
     if kind == "bures":
         return quantum.bures_distance(a, b)
@@ -142,8 +142,7 @@ def finite_diff_speed(fam: quantum.ParametricFamily, theta: float,
     """
     if not 1e-6 <= h <= 1e-2:
         raise InvalidInputError(f"step must satisfy 1e-6 <= h <= 1e-2, got {h}")
-    if not math.isinf(alpha) and not alpha >= 1.0:
-        raise InvalidInputError(f"alpha must be >= 1 or inf, got {alpha}")
+    require_alpha(alpha)
     base = fam.state_at(theta)
     r1 = _raw_distance(fam.state_at(theta + h), base, kind, alpha) / h
     r2 = _raw_distance(fam.state_at(theta + h / 2), base, kind, alpha) / (h / 2)
@@ -229,38 +228,6 @@ def _resolve_inputs(fam, theta: float, objective: str, partner):
     )
 
 
-def _golden_rows(fn, a: np.ndarray, b: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximum of fn on each row's bracket [a, b].
-
-    ``fn`` maps an array of one point per row to the rows' values.  Every
-    row takes the branch that its own comparison fc > fd picks and stops
-    once its bracket is at most ``tol``.  Returns (points, values).
-    """
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while True:
-        live = b - a > tol
-        n_live = np.count_nonzero(live)
-        if not n_live:
-            break
-        left = fc > fd  # the maximum lies in [a, d]
-        na = np.where(left, a, c)
-        nb = np.where(left, d, b)
-        w = _INV_PHI * (nb - na)
-        t = np.where(left, nb - w, na + w)
-        ft = fn(t)
-        step = (na, nb, np.where(left, t, d), np.where(left, c, t),
-                np.where(left, ft, fd), np.where(left, fc, ft))
-        if n_live < live.size:
-            step = [np.where(live, new, old)
-                    for new, old in zip(step, (a, b, c, d, fc, fd))]
-        a, b, c, d, fc, fd = step
-    t = 0.5 * (a + b)
-    return t, fn(t)
-
-
 def _total(cells: np.ndarray, use_max: bool) -> np.ndarray:
     if use_max:
         return cells.max(axis=1)
@@ -273,12 +240,12 @@ def _total(cells: np.ndarray, use_max: bool) -> np.ndarray:
 
 
 def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
-                 cell, use_max: bool, step_tol: float) -> None:
+                 cell, use_max: bool) -> None:
     """One Givens move on the pair (i, j) at one phase, for every row.
 
     Scans the angle grid, refines the best grid point by golden section
     and applies the rotation to the rows whose total it raises by more
-    than ``step_tol``; updates the arrays in place.
+    than ``_STEP_TOL``; updates the arrays in place.
     """
     w = 1.0 if phase == 0.0 else -1j
     ma = 0.5 * (a[:, i, i].real + a[:, j, j].real)[:, None]
@@ -307,7 +274,7 @@ def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
     kbest = vals.argmax(axis=1)  # the first of tied maxima
     v0 = vals[np.arange(len(vals)), kbest]
     t0 = _GRID[kbest][:, None]
-    t_star, v_star = _golden_rows(
+    t_star, v_star = golden_rows(
         lambda t: pair_total(np.cos(2 * t), np.sin(2 * t)),
         t0 - _SPACING, t0 + _SPACING, 1e-8,
     )
@@ -315,7 +282,7 @@ def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
     grid_wins = v0 > v_star
     t_star = np.where(grid_wins, _GRID[kbest], t_star)
     v_star = np.where(grid_wins, v0, v_star)
-    rows = np.flatnonzero(v_star > total + step_tol)
+    rows = np.flatnonzero(v_star > total + _STEP_TOL)
     if not rows.size:
         return
     c, s = np.cos(t_star[rows]), np.sin(t_star[rows])
@@ -338,7 +305,7 @@ def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
     total[rows] = _total(cells[rows], use_max)
 
 
-def _search_block(rho, x, starts, cfg: SearchConfig, cell,
+def _search_block(rho, x, starts, seed: int, cell,
                   use_max: bool) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate ascent from the given restarts, run as one stack.
 
@@ -346,7 +313,7 @@ def _search_block(rho, x, starts, cfg: SearchConfig, cell,
     """
     dim = rho.shape[0]
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    u = np.stack([haar_unitary(dim, generator(cfg.seed, s)) for s in starts])
+    u = np.stack([haar_unitary(dim, generator(seed, s)) for s in starts])
     uh = u.conj().transpose(0, 2, 1)
     a = uh @ rho @ u
     b = uh @ x @ u
@@ -356,13 +323,13 @@ def _search_block(rho, x, starts, cfg: SearchConfig, cell,
     final_total = np.empty(len(starts))
     final_u = np.empty_like(u)
     ids = np.arange(len(starts))  # the rows still climbing
-    for _ in range(int(cfg.max_sweeps)):
+    for _ in range(_MAX_SWEEPS):
         gain = np.zeros(len(ids))
         for (i, j) in pairs:
             for phase in (0.0, math.pi / 2):
                 _givens_move(a, b, u, cells, total, gain, i, j, phase, cell,
-                             use_max, cfg.step_tol)
-        done = gain <= cfg.step_tol
+                             use_max)
+        done = gain <= _STEP_TOL
         if done.any():
             final_total[ids[done]] = total[done]
             final_u[ids[done]] = u[done]
@@ -392,8 +359,7 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
     """
     if cfg is None:
         cfg = SearchConfig()
-    if not math.isinf(alpha) and not alpha >= 1.0:
-        raise InvalidInputError(f"alpha must be >= 1 or inf, got {alpha}")
+    require_alpha(alpha)
     if math.isinf(alpha) and objective in ("f_alpha", "d_alpha"):
         raise InvalidInputError(f"alpha = inf is not defined for {objective}")
     rho, x = _resolve_inputs(fam, theta, objective, partner)
@@ -409,7 +375,7 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
     best_u = np.eye(dim, dtype=complex)
     for lo in range(0, restarts, _BLOCK):
         starts = range(lo, min(lo + _BLOCK, restarts))
-        totals, us = _search_block(rho, x, starts, cfg, cell, use_max)
+        totals, us = _search_block(rho, x, starts, cfg.seed, cell, use_max)
         k = int(totals.argmax())  # the first row with the largest total
         if totals[k] > best_total:
             best_total = float(totals[k])

@@ -21,10 +21,10 @@ import numpy as np
 from .classical import ParametricDist, as_prob
 from .errors import (DegenerateInputError, InvalidInputError,
                      NumericalConsistencyError)
-from .matcore import (HERM_TOL, P_FLOOR, Superoperator, as_matrix,
-                      hermiticity_defect, psd_tol, require_density,
-                      require_hermitian, require_state, schatten_norm, vec,
-                      zero_tol)
+from .matcore import (P_FLOOR, Superoperator, as_matrix, hermiticity_defect,
+                      positivity_violation, require_alpha, require_density,
+                      require_h_gamma, require_hermitian, require_state,
+                      schatten_norm, vec, zero_tol)
 
 COMPLETENESS_TOL = 1e-9
 
@@ -46,6 +46,13 @@ def sld_tol(rho: np.ndarray) -> float:
     return rho.shape[0] * 1e-12 * max(float(np.max(np.abs(w))), 1e-300)
 
 
+def completeness_violation(elements) -> float:
+    """max |sum_k E_k - I|, entrywise, when it exceeds COMPLETENESS_TOL."""
+    total = sum(elements)
+    defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
+    return defect if defect > COMPLETENESS_TOL else 0.0
+
+
 class POVM:
     """A positive-operator-valued measure: PSD elements summing to identity."""
 
@@ -60,16 +67,14 @@ class POVM:
                 dim = e.shape[0]
             elif e.shape[0] != dim:
                 raise InvalidInputError("POVM elements have mixed dimensions")
-            w = np.linalg.eigvalsh(e)
-            tol = psd_tol(dim, float(np.max(np.abs(w))) if w.size else 0.0)
-            if w.size and w[0] < -tol:
+            neg = positivity_violation(e)
+            if neg:
                 raise InvalidInputError(
-                    f"POVM element {k} has negative eigenvalue {w[0]:.3e}"
+                    f"POVM element {k} has negative eigenvalue {-neg:.3e}"
                 )
             elems.append(e)
-        total = sum(elems)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > COMPLETENESS_TOL:
+        defect = completeness_violation(elems)
+        if defect:
             raise InvalidInputError(
                 f"POVM elements sum to identity only within {defect:.3e}"
             )
@@ -139,10 +144,7 @@ class ParametricFamily:
 
     @classmethod
     def non_hermitian(cls, h, gamma, state) -> "ParametricFamily":
-        h = require_hermitian(h, "H")
-        gamma = require_hermitian(gamma, "Gamma")
-        if gamma.shape != h.shape:
-            raise InvalidInputError("H and Gamma must have the same shape")
+        h, gamma = require_h_gamma(h, gamma)
         fam = cls("non_hermitian", h.shape[0])
         fam.h = h
         fam.gamma = gamma
@@ -257,20 +259,6 @@ class ParametricFamily:
             )
         return (d + d.conj().T) / 2
 
-    def pure_state_at(self, theta: float) -> np.ndarray:
-        """State vector along the family; requires a pure initial state.
-        For the non_hermitian kind the returned vector is not normalized."""
-        if self.psi0 is None:
-            raise InvalidInputError("family was not built from a pure state")
-        if self.kind == "unitary":
-            u = (self._hv * np.exp(-1j * self._hw * theta)) @ self._hv.conj().T
-            return u @ self.psi0
-        if self.kind == "non_hermitian":
-            return _expm(-1j * self._h_eff * theta) @ self.psi0
-        raise InvalidInputError(
-            f"pure_state_at not defined for kind {self.kind!r}"
-        )
-
     def _boltzmann(self, beta: float) -> np.ndarray:
         a = -beta * self._hw
         a -= np.max(a)  # overflow guard
@@ -324,16 +312,21 @@ def induced_parametric(fam: ParametricFamily, theta: float, povm: POVM) -> Param
 # -- distances --------------------------------------------------------
 
 
+def _require_states(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    rho = require_density(rho, "rho")
+    sigma = require_density(sigma, "sigma")
+    if rho.shape != sigma.shape:
+        raise InvalidInputError("states have different dimensions")
+    return rho, sigma
+
+
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
     Computed as the nuclear norm of sqrt(rho) sqrt(sigma); equals
     |<psi|phi>| for pure states.
     """
-    rho = require_density(rho, "rho")
-    sigma = require_density(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise InvalidInputError("states have different dimensions")
+    rho, sigma = _require_states(rho, sigma)
     wr, vr = np.linalg.eigh(rho)
     ws, vs = np.linalg.eigh(sigma)
     sr = (vr * np.sqrt(np.clip(wr, 0.0, None))) @ vr.conj().T
@@ -349,23 +342,14 @@ def bures_distance(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """D_1(rho, sigma) = (1/2)||rho - sigma||_1."""
-    rho = require_density(rho, "rho")
-    sigma = require_density(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise InvalidInputError("states have different dimensions")
+    rho, sigma = _require_states(rho, sigma)
     return 0.5 * schatten_norm(rho - sigma, 1)
 
 
 def schatten_distance(rho, sigma, alpha: float) -> float:
     """SD_alpha(rho, sigma) = ((1/2) Tr|rho - sigma|^alpha)^(1/alpha)."""
-    if not (alpha >= 1):
-        raise InvalidInputError(f"alpha must be >= 1, got {alpha}")
-    rho = require_density(rho, "rho")
-    sigma = require_density(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise InvalidInputError("states have different dimensions")
-    if np.isinf(alpha):
-        return schatten_norm(rho - sigma, np.inf)
+    require_alpha(alpha)
+    rho, sigma = _require_states(rho, sigma)
     return float(0.5 ** (1.0 / alpha) * schatten_norm(rho - sigma, alpha))
 
 
@@ -383,9 +367,10 @@ class SLDResult:
 def _support_blocks(rho, drho):
     """Eigenbasis pieces shared by sld and qfi, with the escape check.
 
-    Returns (w, v, d, denom, live, qsum) where d is the derivative in the
-    eigenbasis of rho, live marks eigenvalue pairs above the support
-    cutoff, and qsum is the Fisher sum over the live pairs.  A derivative
+    Returns (v, d, denom, live, qsum, support) where d is the derivative in
+    the eigenbasis of rho, live marks eigenvalue pairs above the support
+    cutoff, qsum is the Fisher sum over the live pairs and support counts
+    the eigenvalues above the cutoff.  A derivative
     entry inside the null-null block would contribute roughly
     |d|^2 / cutoff if the block were included; when that lost term is
     non-negligible against the live sum the Fisher information is
@@ -411,7 +396,7 @@ def _support_blocks(rho, drho):
                     "derivative has support outside the support of rho; "
                     "the Fisher information is formally infinite"
                 )
-    return w, v, d, denom, live, qsum
+    return v, d, denom, live, qsum, int(np.sum(~null))
 
 
 def sld(fam: ParametricFamily, theta: float) -> SLDResult:
@@ -425,11 +410,10 @@ def sld(fam: ParametricFamily, theta: float) -> SLDResult:
     """
     rho = fam.state_at(theta)
     drho = fam.derivative_at(theta)
-    w, v, d, denom, live, _ = _support_blocks(rho, drho)
+    v, d, denom, live, _, support = _support_blocks(rho, drho)
     l_eig = np.where(live, 2.0 * d / np.where(live, denom, 1.0), 0.0)
     op = v @ l_eig @ v.conj().T
     op = (op + op.conj().T) / 2
-    support = int(np.sum(w > sld_tol(rho)))
     return SLDResult(operator=op, support_dim=support)
 
 
@@ -441,8 +425,7 @@ def qfi(fam: ParametricFamily, theta: float) -> float:
     """
     rho = fam.state_at(theta)
     drho = fam.derivative_at(theta)
-    _, _, _, _, _, qsum = _support_blocks(rho, drho)
-    return qsum
+    return _support_blocks(rho, drho)[4]
 
 
 def trace_speed(fam: ParametricFamily, theta: float) -> float:
@@ -452,8 +435,7 @@ def trace_speed(fam: ParametricFamily, theta: float) -> float:
 
 def schatten_speed(fam: ParametricFamily, theta: float, alpha: float) -> float:
     """SF_alpha = ||drho/dtheta||_alpha; the speed is 2^(-1/alpha) SF_alpha."""
-    if not (alpha >= 1):
-        raise InvalidInputError(f"alpha must be >= 1, got {alpha}")
+    require_alpha(alpha)
     return schatten_norm(fam.derivative_at(theta), alpha)
 
 
@@ -551,8 +533,7 @@ def nonhermitian_pure_speed(psi, h, gamma, alpha: float = 1.0) -> float:
     2^(-1/alpha).  With Gamma = 0 this reduces to F_1 = 2 DeltaH and
     speed DeltaH for every alpha.
     """
-    if not (alpha >= 1):
-        raise InvalidInputError(f"alpha must be >= 1, got {alpha}")
+    require_alpha(alpha)
     psi = require_state(psi)
     h = require_hermitian(h, "H")
     gamma = require_hermitian(gamma, "Gamma")
@@ -585,8 +566,7 @@ def nonhermitian_pure_speed(psi, h, gamma, alpha: float = 1.0) -> float:
 def thermal_gen_fisher(h, beta: float, alpha: float = 2.0) -> float:
     """f_alpha of a Gibbs family: the alpha-th absolute central moment of
     the energy, sum_m p_m |eps_m - <H>|^alpha, with Boltzmann weights."""
-    if not (alpha >= 1):
-        raise InvalidInputError(f"alpha must be >= 1, got {alpha}")
+    require_alpha(alpha)
     fam = ParametricFamily.thermal(h)
     p = fam._boltzmann(float(beta))
     mean = float(np.sum(p * fam._hw))
@@ -601,8 +581,7 @@ def weak_value_fisher(psi, h, povm: POVM, alpha: float = 2.0) -> float:
     p_x <= p_floor are skipped.  Equals gen_fisher of the induced
     distribution for the unitary family generated by H.
     """
-    if not (alpha >= 1):
-        raise InvalidInputError(f"alpha must be >= 1, got {alpha}")
+    require_alpha(alpha)
     psi = require_state(psi)
     h = require_hermitian(h, "H")
     total = 0.0

@@ -227,6 +227,54 @@ def test_nonhermitian_bound_caps_superop_norm(seed):
     assert norm.value <= cap.f1_bound + 1e-6
 
 
+def pinned_pair(index):
+    """Seeded (H, Gamma) pairs: 14 generic at d = 2-4, then 6 commuting 2x2."""
+    rng = generator(4071, index)
+    if index < 14:
+        dim = 2 + index % 3
+        return random_hermitian(rng, dim), random_hermitian(rng, dim)
+    h = np.diag(rng.normal(size=2)).astype(complex)
+    gamma = np.diag(rng.uniform(-2.0, 2.0, size=2)).astype(complex)
+    if index >= 17:  # the same commuting pair in a rotated basis
+        _, v = np.linalg.eigh(random_hermitian(rng, 2))
+        h, gamma = v @ h @ v.conj().T, v @ gamma @ v.conj().T
+    return h, gamma
+
+
+# (f1_bound, f2_bound, r_opt) for pinned_pair(i), recorded from a scalar
+# golden-section search; the shared row-wise one takes the same branches
+# and must reproduce them bit for bit
+NONHERMITIAN_PINS = [
+    (5.524842433821063, 30.52388391854985, 0.08836118244815291),
+    (9.227660543598052, 85.1497191078763, -0.08119428670932477),
+    (9.621910718172597, 92.58116586848469, -0.25187635136943687),
+    (7.8640442931950085, 61.843192645332984, 0.2691414155174213),
+    (5.90952582695592, 34.92249549945905, -1.1353368512537232),
+    (7.885396850084726, 62.17948348332612, 0.6909177866515148),
+    (4.571107094712023, 20.895020071326588, -0.15757204025747695),
+    (7.156821248573794, 51.22009038403736, -0.9631862209563837),
+    (9.211909904332689, 84.8592840855427, -0.17029683516636612),
+    (4.209938784642889, 17.72358457044044, 0.25230152018818697),
+    (6.57341869464011, 43.20983333504409, -0.600110533420815),
+    (9.581346099754002, 91.80219308327123, 0.08324605755050202),
+    (2.8621390655394126, 8.191840030486821, -0.3140001508297444),
+    (4.926431323646899, 24.269725586609333, 0.27504392070276173),
+    (1.9572930681894358, 3.8309961547824156, -0.8390252339466433),
+    (3.4361021370319467, 11.80679789611551, -0.6225469860585431),
+    (3.674301158680654, 13.500489004681999, 0.454039231686825),
+    (3.7993187350307376, 14.434822850355564, -1.8417555091587874),
+    (1.4244794351100312, 2.0291416610513937, 0.1723411523890668),
+    (1.6906727346455823, 2.8583742956739715, 0.26122178670023644),
+]
+
+
+@pytest.mark.parametrize("index", range(len(NONHERMITIAN_PINS)))
+def test_nonhermitian_bound_pinned_values(index):
+    h, gamma = pinned_pair(index)
+    res = bounds.nonhermitian_speed_bound(h, gamma)
+    assert tuple(res) == NONHERMITIAN_PINS[index]
+
+
 # -- separability caps ------------------------------------------------
 
 

@@ -189,11 +189,18 @@ def test_bound_heisenberg_overflow_exits_3(tmp_path, capsys, h):
                       "state": np.eye(2) / 2.0}),
     ("nonhermitian", {"hamiltonian": np.diag([1e200, -1e200]),
                       "gamma": np.diag([1e300, 0.0])}),
+    # gap^2 = 4e400 overflows inside the Heisenberg limit
+    ("local", {"locals": [{"kind": "hamiltonian", "hamiltonian":
+                           matrix_json(np.diag([1e200, -1e200]))}]}),
+    # each gap^2 = 1e308 is finite, their sum is not
+    ("local", {"locals": [{"kind": "hamiltonian", "hamiltonian":
+                           matrix_json(np.diag([5e153, -5e153]))}] * 2}),
 ])
 def test_bound_overflow_exits_3(tmp_path, capsys, kind, inputs):
     argv = ["bound", "--kind", kind]
     for flag, m in inputs.items():
-        argv += ["--" + flag, write(tmp_path, flag + ".json", matrix_json(m))]
+        obj = m if isinstance(m, list) else matrix_json(m)
+        argv += ["--" + flag, write(tmp_path, flag + ".json", obj)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, argv)
@@ -268,6 +275,36 @@ def test_bound_local(tmp_path, capsys):
     report = run_json(capsys, ["bound", "--kind", "local",
                                "--locals", locals_path])
     assert report["value"] == pytest.approx(2.0, abs=1e-9)
+
+
+def run_process(argv):
+    return subprocess.run([sys.executable, "-m", "qspeed.cli"] + argv,
+                          capture_output=True, text=True)
+
+
+def test_bound_nonhermitian_large_entries_warn_nothing(tmp_path):
+    # the 2x2 commutativity test overflowed numpy's matmul and norm here,
+    # and its RuntimeWarnings reached stderr next to a correct report
+    h = write(tmp_path, "h.json", matrix_json(1e200 * np.eye(2)))
+    g = write(tmp_path, "g.json", matrix_json(np.diag([1e150, 0.0])))
+    proc = run_process(["bound", "--kind", "nonhermitian",
+                        "--hamiltonian", h, "--gamma", g])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == ('{\n  "kind": "nonhermitian",\n'
+                           '  "f1_bound": 2e+150,\n  "f2_bound": 4e+300,\n'
+                           '  "r_opt": 1e+200\n}\n')
+
+
+def test_bound_nonhermitian_unbounded_shift_interval_exits_3(tmp_path):
+    h = write(tmp_path, "h.json", matrix_json(np.diag([1e308, -1e308])))
+    g = write(tmp_path, "g.json", matrix_json(np.diag([1e308, 0.0])))
+    proc = run_process(["bound", "--kind", "nonhermitian",
+                        "--hamiltonian", h, "--gamma", g])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "shift interval" in proc.stderr
 
 
 # -- estimate ---------------------------------------------------------
@@ -373,6 +410,27 @@ def test_validate_rejects_huge_integer_literal(tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "rho.json" in err and "digits" in err
+
+
+def test_validate_rejects_deep_nesting(tmp_path, capsys):
+    # the JSON decoder raises RecursionError past the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "deep.json" in err and "nesting" in err
+
+
+def test_validate_reports_huge_negative_eigenvalue(tmp_path, capsys):
+    # the Hermitian part of these entries overflowed when formed as
+    # (A + A^dag)/2, and the file passed as valid
+    a = np.array([[0.5, 1e308], [1e308, 0.5]])
+    path = write(tmp_path, "rho.json", matrix_json(a))
+    code, out, _ = run(capsys, ["validate", path])
+    assert code == 2
+    assert [d["check"] for d in json.loads(out)["diagnostics"]] == ["positivity"]
 
 
 def test_validate_role_override(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """JSON schemas, deterministic report serialization, and file validation."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qspeed import jsonio, quantum
+from qspeed import classical, jsonio, matcore, quantum
 from qspeed.errors import InvalidInputError
 
 
@@ -134,3 +139,81 @@ def test_validate_file_povm_completeness(tmp_path):
     role, diags = jsonio.validate_file(str(path))
     assert role == "povm"
     assert any("completeness" in d["message"] for d in diags)
+
+
+# -- validate runs the library's checks --------------------------------
+
+# perturbation sizes straddling each tolerance: HERM_TOL, TRACE_TOL,
+# COMPLETENESS_TOL and SUM_TOL are 1e-9, NEG_CLIP is 1e-12
+_SCALES = st.sampled_from([0.0, 1e-13, 5e-12, 4e-10, 1e-9, 2.5e-9, 1e-6, 0.05])
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def _perturbation(data, shape, scale):
+    noise = np.array(data.draw(st.lists(_UNIT, min_size=2 * math.prod(shape),
+                                        max_size=2 * math.prod(shape))))
+    return scale * (noise[::2] + 1j * noise[1::2]).reshape(shape)
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except InvalidInputError:
+        return False
+    return True
+
+
+def _validates(obj, role: str) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(obj))
+        _, diags = jsonio.validate_file(str(path), role)
+    return diags == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dim=st.integers(1, 3), scale=_SCALES,
+       low=st.sampled_from([0.0, -5e-13, -5e-12, -1e-3]))
+def test_validate_matches_library_on_matrices(data, dim, scale, low):
+    p = np.linspace(1.0, 2.0, dim)
+    p = p / p.sum()
+    p[0] += low  # a slightly negative eigenvalue, or a trace defect
+    p[-1] -= low
+    a = np.diag(p) + _perturbation(data, (dim, dim), scale)
+    obj = jsonio.matrix_to_json(a)
+    assert _validates(obj, "density") == _accepts(
+        lambda: matcore.require_density(a))
+    assert _validates(obj, "hermitian") == _accepts(
+        lambda: matcore.require_hermitian(a))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dim=st.integers(1, 3), scale=_SCALES,
+       low=st.sampled_from([0.0, -5e-12, -1e-3]))
+def test_validate_matches_library_on_povms(data, dim, scale, low):
+    elements = []
+    for k in range(dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[k, k] = 1.0
+        elements.append(e + _perturbation(data, (dim, dim), scale))
+    elements[0][0, 0] += low
+    obj = {"elements": [jsonio.matrix_to_json(e) for e in elements]}
+    assert _validates(obj, "povm") == _accepts(lambda: quantum.POVM(elements))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 4), scale=_SCALES,
+       low=st.sampled_from([0.0, -5e-13, -5e-12, -1e-3]),
+       with_derivative=st.booleans())
+def test_validate_matches_library_on_weights(data, n, scale, low,
+                                             with_derivative):
+    w = np.full(n, 1.0 / n) + _perturbation(data, (n,), scale).real
+    w[0] += low
+    obj = {"weights": w.tolist()}
+    if with_derivative:
+        dw = np.linspace(-1.0, 1.0, n) + _perturbation(data, (n,), scale).real
+        obj["derivative"] = dw.tolist()
+        build = lambda: classical.ParametricDist(w, dw)  # noqa: E731
+    else:
+        build = lambda: classical.as_prob(w)  # noqa: E731
+    assert _validates(obj, "prob") == _accepts(build)

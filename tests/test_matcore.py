@@ -1,6 +1,8 @@
 """Linear-algebra kernel tests: eigendecomposition, Schatten norms,
 Jordan-Hahn decomposition, superoperator vectorization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -194,9 +196,27 @@ def test_superoperator_preserves_hermiticity():
     for op in (matcore.commutator_map(h),
                matcore.Superoperator.from_non_hermitian(h, gamma)):
         assert op.hermiticity_preservation_defect() <= 1e-10
+        assert op.hermiticity_preservation_defect() == 0.0  # exact test
         x = random_hermitian(rng, 3)
         out = op.apply(x)
         assert matcore.hermiticity_defect(out) <= 1e-10
+
+
+def test_hermiticity_preservation_defect_is_exact():
+    # S M S only permutes entries of M: compare with the explicit swap
+    rng = generator(107)
+    for dim in (1, 2, 3):
+        m = rng.normal(size=(dim ** 2,) * 2) + 1j * rng.normal(size=(dim ** 2,) * 2)
+        swap = np.zeros((dim ** 2, dim ** 2))
+        for i in range(dim):
+            for j in range(dim):
+                swap[j + i * dim, i + j * dim] = 1.0
+        defect = matcore.Superoperator(m, dim).hermiticity_preservation_defect()
+        assert defect == np.max(np.abs(m.conj() - swap @ m @ swap))
+    broken = np.eye(4, dtype=complex)
+    broken[0, 1] = 1.0
+    op = matcore.Superoperator.from_matrix(broken)
+    assert op.hermiticity_preservation_defect() == 1.0
 
 
 def test_vec_unvec_roundtrip():
@@ -232,3 +252,73 @@ def test_spectral_projectors_cluster_degenerate():
     assert np.allclose(values, [1.0, 2.0])
     assert float(np.trace(projs[0]).real) == pytest.approx(2.0)
     assert float(np.trace(projs[1]).real) == pytest.approx(1.0)
+
+
+# -- one alpha domain across the package ------------------------------
+
+
+def _alpha_takers():
+    """Every public function taking an order alpha, as alpha -> value, and
+    whether alpha = inf is defined for it."""
+    from qspeed import bounds, classical, oracle, quantum
+
+    h = np.diag([0.5, -0.5]).astype(complex)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    fam = quantum.ParametricFamily.unitary(h, plus)
+    dist = classical.ParametricDist([0.5, 0.5], [0.25, -0.25])
+    snaps = [(0.01 * k, [0.5 + 0.01 * k, 0.5 - 0.01 * k]) for k in range(4)]
+    psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    part = bounds.Partition(((0,), (1,)), (np.kron(h, np.eye(2)),
+                                           np.kron(np.eye(2), h)))
+    cfg = oracle.SearchConfig(restarts=1)
+    return [
+        ("schatten_norm", lambda a: matcore.schatten_norm(h, a), True),
+        ("dist_alpha", lambda a: classical.dist_alpha([1, 0], [0.5, 0.5], a),
+         False),
+        ("dist_schatten_alpha",
+         lambda a: classical.dist_schatten_alpha([1, 0], [0.5, 0.5], a), False),
+        ("gen_fisher", lambda a: classical.gen_fisher(dist, a), False),
+        ("schatten_fisher", lambda a: classical.schatten_fisher(dist, a), True),
+        ("classical_speed",
+         lambda a: classical.classical_speed(dist, a, "schatten"), True),
+        ("speed_from_samples",
+         lambda a: classical.speed_from_samples(snaps, a)[0], False),
+        ("schatten_distance",
+         lambda a: quantum.schatten_distance(plus, np.eye(2) / 2, a), True),
+        ("schatten_speed", lambda a: quantum.schatten_speed(fam, 0.0, a), True),
+        ("statistical_speed",
+         lambda a: quantum.statistical_speed(fam, 0.0, "schatten", a), True),
+        ("nonhermitian_pure_speed",
+         lambda a: quantum.nonhermitian_pure_speed(psi, h, 0 * h, a), True),
+        ("thermal_gen_fisher",
+         lambda a: quantum.thermal_gen_fisher(h, 1.0, a), False),
+        ("weak_value_fisher", lambda a: quantum.weak_value_fisher(
+            psi, h, quantum.basis_povm(2), a), False),
+        ("superop_norm", lambda a: bounds.superop_norm(
+            matcore.commutator_map(h), a, restarts=1).value, True),
+        ("ksep_bound", lambda a: bounds.ksep_bound(2, 1, a), True),
+        ("asep_bound", lambda a: bounds.asep_bound(np.eye(4) / 4, part, a),
+         True),
+        ("witness", lambda a: bounds.witness(fam, alpha=a).bound, True),
+        ("curve_length", lambda a: bounds.curve_length(
+            fam, 0.0, 0.1, "schatten", a, tol=1e-6), True),
+        ("finite_diff_speed", lambda a: oracle.finite_diff_speed(
+            fam, 0.0, "schatten", a)[0], True),
+        ("brute_force_max", lambda a: oracle.brute_force_max(
+            fam, 0.0, "sf_alpha", a, cfg)[0], True),
+    ]
+
+
+_ALPHA_TAKERS = _alpha_takers()
+
+
+@pytest.mark.parametrize("name, fn, inf_defined", _ALPHA_TAKERS,
+                         ids=[t[0] for t in _ALPHA_TAKERS])
+def test_one_alpha_domain(name, fn, inf_defined):
+    for bad in (0.5, math.nan, -math.inf):
+        with pytest.raises(InvalidInputError) as exc:
+            fn(bad)
+        assert str(exc.value) == f"alpha must be >= 1 or inf, got {bad}"
+    assert math.isfinite(fn(1.0))
+    if inf_defined:
+        assert math.isfinite(fn(math.inf))
