@@ -420,10 +420,6 @@ class Partition:
         object.__setattr__(self, "hamiltonians", hams)
 
     @property
-    def n_sites(self) -> int:
-        return sum(len(block) for block in self.blocks)
-
-    @property
     def dim(self) -> int:
         return self.hamiltonians[0].shape[0]
 
@@ -645,7 +641,8 @@ def witness(subject, generator_spec=None, *, kind: str = "ksep",
     """
     require_alpha(alpha)
     fam = _as_family(subject, generator_spec)
-    speed = quantum.schatten_speed(fam, theta, alpha)
+    rho, drho = fam.at(theta)
+    speed = matcore.schatten_norm(drho, alpha)
     if kind == "ksep":
         dim = fam.dim
         n = int(round(math.log2(dim)))
@@ -657,7 +654,7 @@ def witness(subject, generator_spec=None, *, kind: str = "ksep",
     elif kind == "asep":
         if partition is None:
             raise InvalidInputError("the partition cap needs a partition")
-        bound = asep_bound(fam.state_at(theta), partition, alpha)
+        bound = asep_bound(rho, partition, alpha)
     else:
         raise InvalidInputError(f"unknown bound kind {kind!r}")
     verdict = "entangled" if speed > bound * (1.0 + 1e-9) else "undecided"

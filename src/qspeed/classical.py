@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .matcore import P_FLOOR, require_alpha
+from .matcore import P_FLOOR, require_alpha, require_finite_alpha
 
 SUM_TOL = 1e-9
 NEG_CLIP = 1e-12
@@ -102,7 +102,7 @@ def dist_alpha(p, q, alpha: float) -> float:
 
     Hellinger distance at alpha=2, Kolmogorov distance at alpha=1.
     """
-    require_alpha(alpha)
+    require_finite_alpha(alpha, "d_alpha")
     p = as_prob(p, "p")
     q = as_prob(q, "q")
     _check_pair(p, q)
@@ -111,12 +111,15 @@ def dist_alpha(p, q, alpha: float) -> float:
 
 
 def dist_schatten_alpha(p, q, alpha: float) -> float:
-    """sd_alpha(p,q) = (1/2 sum_x |p_x - q_x|^alpha)^(1/alpha)."""
+    """sd_alpha(p,q) = (1/2 sum_x |p_x - q_x|^alpha)^(1/alpha), and
+    max_x |p_x - q_x| at alpha = inf."""
     require_alpha(alpha)
     p = as_prob(p, "p")
     q = as_prob(q, "q")
     _check_pair(p, q)
     diff = np.abs(p - q)
+    if np.isinf(alpha):
+        return float(np.max(diff))
     return float((0.5 * np.sum(diff ** alpha)) ** (1.0 / alpha))
 
 
@@ -129,7 +132,7 @@ def gen_fisher(d: ParametricDist, alpha: float) -> float:
     value +inf is returned rather than raising) while for alpha = 1 the
     outcome contributes |p'_x|.
     """
-    require_alpha(alpha)
+    require_finite_alpha(alpha, "f_alpha")
     p = d.weights
     dp = d.derivative
     live = p > P_FLOOR

@@ -87,7 +87,9 @@ def _cmd_distance(args):
             "alpha": alpha,
             "D1": classical.dist_alpha(p, q, 1.0),
             "D2": classical.dist_alpha(p, q, 2.0),
-            "Dalpha": classical.dist_alpha(p, q, alpha),
+            # d_alpha is not defined at alpha = inf
+            "Dalpha": None if math.isinf(alpha) else
+            classical.dist_alpha(p, q, alpha),
             "SDalpha": classical.dist_schatten_alpha(p, q, alpha),
         }
     else:

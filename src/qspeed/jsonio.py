@@ -123,10 +123,6 @@ def prob_from_json(obj, name: str = "distribution"):
     return w, deriv
 
 
-def load_prob(path: str):
-    return prob_from_json(load_json(path))
-
-
 def snapshots_from_json(obj):
     if not isinstance(obj, list) or len(obj) < 1:
         raise InvalidInputError("snapshots must be a nonempty list")
@@ -141,10 +137,6 @@ def snapshots_from_json(obj):
         w, _ = prob_from_json({"weights": item["weights"]}, f"snapshots[{i}]")
         out.append((theta, w))
     return out
-
-
-def load_snapshots(path: str):
-    return snapshots_from_json(load_json(path))
 
 
 def povm_from_json(obj, name: str = "povm") -> quantum.POVM:

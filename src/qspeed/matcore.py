@@ -31,6 +31,13 @@ def require_alpha(alpha: float) -> None:
         raise InvalidInputError(f"alpha must be >= 1 or inf, got {alpha}")
 
 
+def require_finite_alpha(alpha: float, quantity: str) -> None:
+    """require_alpha, and reject alpha = inf, where quantity is undefined."""
+    require_alpha(alpha)
+    if math.isinf(alpha):
+        raise InvalidInputError(f"alpha = inf is not defined for {quantity}")
+
+
 def psd_tol(dim: int, norm_inf: float) -> float:
     """Tolerance for negative eigenvalues of a nominally PSD matrix."""
     return dim * 1e-12 * max(norm_inf, 1.0)
@@ -55,8 +62,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A^dag|, entrywise."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    """max |A - A^dag|, entrywise.  Formed on A/4, which cannot overflow;
+    scaling by 4 is exact for entries that are not subnormal, and the
+    Python float product gives inf, without a warning, where it overflows."""
+    if not a.size:
+        return 0.0
+    q = a / 4
+    return float(np.max(np.abs(q - q.conj().T))) * 4
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import matcore, quantum
 from .errors import InvalidInputError
-from .matcore import P_FLOOR, golden_rows, require_alpha
+from .matcore import (P_FLOOR, golden_rows, require_alpha,
+                      require_finite_alpha)
 from .seeding import generator
 
 MAX_SEARCH_DIM = 4
@@ -214,7 +215,7 @@ def _resolve_inputs(fam, theta: float, objective: str, partner):
             )
         if partner is not None:
             raise InvalidInputError("partner state only applies to distances")
-        return fam.state_at(theta), fam.derivative_at(theta)
+        return fam.at(theta)
     if objective in ("d_alpha", "sd_alpha"):
         if partner is None:
             raise InvalidInputError(
@@ -359,9 +360,10 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
     """
     if cfg is None:
         cfg = SearchConfig()
-    require_alpha(alpha)
-    if math.isinf(alpha) and objective in ("f_alpha", "d_alpha"):
-        raise InvalidInputError(f"alpha = inf is not defined for {objective}")
+    if objective in ("f_alpha", "d_alpha"):
+        require_finite_alpha(alpha, objective)
+    else:
+        require_alpha(alpha)
     rho, x = _resolve_inputs(fam, theta, objective, partner)
     dim = rho.shape[0]
     if dim > MAX_SEARCH_DIM:

@@ -14,6 +14,7 @@ states, and non-Hermitian generators H_eff = H - i Gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,10 @@ from .classical import ParametricDist, as_prob
 from .errors import (DegenerateInputError, InvalidInputError,
                      NumericalConsistencyError)
 from .matcore import (P_FLOOR, Superoperator, as_matrix, hermiticity_defect,
-                      positivity_violation, require_alpha, require_density,
-                      require_h_gamma, require_hermitian, require_state,
-                      schatten_norm, vec, zero_tol)
+                      hermitian_part, positivity_violation, require_alpha,
+                      require_density, require_finite_alpha, require_h_gamma,
+                      require_hermitian, require_state, schatten_norm, vec,
+                      zero_tol)
 
 COMPLETENESS_TOL = 1e-9
 
@@ -37,13 +39,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     import scipy.linalg
 
     return scipy.linalg.expm(a)
-
-
-def sld_tol(rho: np.ndarray) -> float:
-    """Support cutoff for the SLD: eigenvalue pairs with lambda_i + lambda_j
-    at or below this are excluded from the inversion."""
-    w = np.linalg.eigvalsh(rho)
-    return rho.shape[0] * 1e-12 * max(float(np.max(np.abs(w))), 1e-300)
 
 
 def completeness_violation(elements) -> float:
@@ -81,6 +76,22 @@ class POVM:
         self.elements = tuple(elems)
         self.dim = dim
 
+    @classmethod
+    def _from_basis(cls, v: np.ndarray, groups) -> "POVM":
+        """Projectors B B^dag onto the column groups B = v[:, group] of a
+        unitary v.  A Gram matrix is PSD, so only completeness is checked."""
+        elems = tuple(hermitian_part(b @ b.conj().T)
+                      for b in (v[:, group] for group in groups))
+        defect = completeness_violation(elems)
+        if defect:
+            raise InvalidInputError(
+                f"POVM elements sum to identity only within {defect:.3e}"
+            )
+        povm = cls.__new__(cls)
+        povm.elements = elems
+        povm.dim = v.shape[0]
+        return povm
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -102,8 +113,8 @@ class POVM:
 
 def basis_povm(dim: int) -> POVM:
     """Computational-basis projective measurement."""
-    eye = np.eye(dim)
-    return POVM([np.outer(eye[:, k], eye[:, k]) for k in range(dim)])
+    return POVM._from_basis(np.eye(dim, dtype=complex),
+                            [[k] for k in range(dim)])
 
 
 class ParametricFamily:
@@ -233,16 +244,17 @@ class ParametricFamily:
             return self._states[i]
         raise InvalidInputError(f"unknown family kind {self.kind!r}")
 
-    def derivative_at(self, theta: float) -> np.ndarray:
+    def at(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, drho/dtheta) at theta; the state is evaluated once and the
+        derivative is built from it."""
         theta = float(theta)
+        rho = self.state_at(theta)
         if self.kind == "unitary":
-            rho = self.state_at(theta)
             d = -1j * (self.h @ rho - rho @ self.h)
         elif self.kind == "non_hermitian":
-            rho = self.state_at(theta)
             d = -1j * (self._h_eff @ rho - rho @ self._h_eff.conj().T)
         elif self.kind == "lindblad":
-            d = self.superop.apply(self.state_at(theta))
+            d = self.superop.apply(rho)
         elif self.kind == "thermal":
             p = self._boltzmann(theta)
             mean = float(np.sum(p * self._hw))
@@ -257,7 +269,10 @@ class ParametricFamily:
             raise NumericalConsistencyError(
                 f"family derivative lost Hermiticity: defect {defect:.3e}"
             )
-        return (d + d.conj().T) / 2
+        return rho, (d + d.conj().T) / 2
+
+    def derivative_at(self, theta: float) -> np.ndarray:
+        return self.at(theta)[1]
 
     def _boltzmann(self, beta: float) -> np.ndarray:
         a = -beta * self._hw
@@ -304,9 +319,8 @@ def induced_dist(rho, povm: POVM) -> np.ndarray:
 
 def induced_parametric(fam: ParametricFamily, theta: float, povm: POVM) -> ParametricDist:
     """Induced distribution and its derivative p'_x = Tr{E_x drho/dtheta}."""
-    p = povm.probabilities(fam.state_at(theta))
-    dp = povm.expectations(fam.derivative_at(theta))
-    return ParametricDist(p, dp)
+    rho, drho = fam.at(theta)
+    return ParametricDist(povm.probabilities(rho), povm.expectations(drho))
 
 
 # -- distances --------------------------------------------------------
@@ -368,9 +382,10 @@ def _support_blocks(rho, drho):
     """Eigenbasis pieces shared by sld and qfi, with the escape check.
 
     Returns (v, d, denom, live, qsum, support) where d is the derivative in
-    the eigenbasis of rho, live marks eigenvalue pairs above the support
-    cutoff, qsum is the Fisher sum over the live pairs and support counts
-    the eigenvalues above the cutoff.  A derivative
+    the eigenbasis of rho, live marks eigenvalue pairs lambda_i + lambda_j
+    above the support cutoff dim * 1e-12 * max |lambda|, qsum is the Fisher
+    sum over the live pairs and support counts the eigenvalues above the
+    cutoff.  A derivative
     entry inside the null-null block would contribute roughly
     |d|^2 / cutoff if the block were included; when that lost term is
     non-negligible against the live sum the Fisher information is
@@ -380,17 +395,25 @@ def _support_blocks(rho, drho):
     null-block entries scale with the vanishing eigenvalue itself.
     """
     w, v = np.linalg.eigh(rho)
-    tol = sld_tol(rho)
+    tol = rho.shape[0] * 1e-12 * max(float(np.max(np.abs(w))), 1e-300)
     d = v.conj().T @ drho @ v
     denom = w[:, None] + w[None, :]
     live = denom > tol
-    qsum = float(np.sum(np.where(live, 2.0 * np.abs(d) ** 2
-                                 / np.where(live, denom, 1.0), 0.0)))
+    with np.errstate(over="ignore"):
+        qsum = float(np.sum(np.where(live, 2.0 * np.abs(d) ** 2
+                                     / np.where(live, denom, 1.0), 0.0)))
+    if not math.isfinite(qsum):
+        raise NumericalConsistencyError(
+            "the quantum Fisher information is not a finite float"
+        )
     null = w <= tol
     if np.any(null):
         block = d[np.ix_(null, null)]
         if block.size:
-            lost = float(np.max(np.abs(block))) ** 2 / tol
+            try:
+                lost = float(np.max(np.abs(block))) ** 2 / tol
+            except OverflowError:
+                lost = math.inf
             if lost > 1e-8 * max(1.0, qsum):
                 raise InvalidInputError(
                     "derivative has support outside the support of rho; "
@@ -408,9 +431,7 @@ def sld(fam: ParametricFamily, theta: float) -> SLDResult:
     Fisher information is formally infinite and a rank-deficiency error is
     raised.
     """
-    rho = fam.state_at(theta)
-    drho = fam.derivative_at(theta)
-    v, d, denom, live, _, support = _support_blocks(rho, drho)
+    v, d, denom, live, _, support = _support_blocks(*fam.at(theta))
     l_eig = np.where(live, 2.0 * d / np.where(live, denom, 1.0), 0.0)
     op = v @ l_eig @ v.conj().T
     op = (op + op.conj().T) / 2
@@ -423,9 +444,7 @@ def qfi(fam: ParametricFamily, theta: float) -> float:
     Evaluated as sum_{ij} 2 |<i|drho|j>|^2 / (lambda_i + lambda_j) over the
     support, which is algebraically identical and numerically tighter.
     """
-    rho = fam.state_at(theta)
-    drho = fam.derivative_at(theta)
-    return _support_blocks(rho, drho)[4]
+    return _support_blocks(*fam.at(theta))[4]
 
 
 def trace_speed(fam: ParametricFamily, theta: float) -> float:
@@ -464,19 +483,11 @@ def _eigenbasis_povm(a: np.ndarray) -> POVM:
     never leaks into the output."""
     a = require_hermitian(a)
     w, v = np.linalg.eigh(a)
-    tol = zero_tol(a)
-    elements = []
-    null_cols = []
-    for k in range(len(w)):
-        if abs(w[k]) <= tol:
-            null_cols.append(k)
-        else:
-            col = v[:, k:k + 1]
-            elements.append(col @ col.conj().T)
-    if null_cols:
-        block = v[:, null_cols]
-        elements.append(block @ block.conj().T)
-    return POVM(elements)
+    null = np.abs(w) <= zero_tol(a)
+    groups = [[k] for k in np.flatnonzero(~null)]
+    if null.any():
+        groups.append(np.flatnonzero(null))
+    return POVM._from_basis(v, groups)
 
 
 def optimal_povm(fam: ParametricFamily, theta: float,
@@ -566,7 +577,7 @@ def nonhermitian_pure_speed(psi, h, gamma, alpha: float = 1.0) -> float:
 def thermal_gen_fisher(h, beta: float, alpha: float = 2.0) -> float:
     """f_alpha of a Gibbs family: the alpha-th absolute central moment of
     the energy, sum_m p_m |eps_m - <H>|^alpha, with Boltzmann weights."""
-    require_alpha(alpha)
+    require_finite_alpha(alpha, "f_alpha")
     fam = ParametricFamily.thermal(h)
     p = fam._boltzmann(float(beta))
     mean = float(np.sum(p * fam._hw))
@@ -581,7 +592,7 @@ def weak_value_fisher(psi, h, povm: POVM, alpha: float = 2.0) -> float:
     p_x <= p_floor are skipped.  Equals gen_fisher of the induced
     distribution for the unitary family generated by H.
     """
-    require_alpha(alpha)
+    require_finite_alpha(alpha, "f_alpha")
     psi = require_state(psi)
     h = require_hermitian(h, "H")
     total = 0.0

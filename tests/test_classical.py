@@ -59,6 +59,23 @@ def test_dist_schatten_examples():
     assert classical.dist_schatten_alpha([1, 0], [0, 1], 2.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_dist_schatten_at_alpha_inf_is_max_difference(seed):
+    # (1/2 sum |p - q|^alpha)^(1/alpha) tends to max |p - q|, which is also
+    # the Schatten distance of the diagonal states diag(p) and diag(q)
+    from qspeed import quantum
+
+    rng = generator(203, seed)
+    p, q = random_prob(rng, 4), random_prob(rng, 4)
+    sd = classical.dist_schatten_alpha(p, q, np.inf)
+    assert sd == np.max(np.abs(p - q))
+    assert sd == pytest.approx(
+        quantum.schatten_distance(np.diag(p), np.diag(q), np.inf), abs=1e-15)
+    assert sd == pytest.approx(classical.dist_schatten_alpha(p, q, 400.0),
+                               rel=1e-2)
+    assert classical.dist_schatten_alpha([1, 0], [0.5, 0.5], np.inf) == 0.5
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_dist_families_coincide_at_alpha_one(seed):
     rng = generator(200, seed)

@@ -5,11 +5,12 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qspeed import classical, jsonio, quantum
+from qspeed import classical, jsonio, oracle, quantum
 from qspeed.cli import main
 from qspeed.errors import NumericalConsistencyError
 
@@ -120,6 +121,17 @@ def test_distance_probs(tmp_path, capsys):
     assert report["SDalpha"] == pytest.approx(0.4, abs=1e-12)
     target = classical.dist_alpha([0.5, 0.5], [0.9, 0.1], 2.0)
     assert report["D2"] == pytest.approx(target, abs=1e-12)
+
+
+def test_distance_probs_at_alpha_inf(tmp_path, capsys):
+    # d_alpha has no alpha = inf member; sd_inf is max |p - q|, as for the
+    # oracle's sd_alpha objective and for density matrices
+    a = write(tmp_path, "p.json", {"weights": [1.0, 0.0]})
+    b = write(tmp_path, "q.json", {"weights": [0.5, 0.5]})
+    report = run_json(capsys, ["distance", a, b, "--alpha", "inf"])
+    assert report["Dalpha"] is None
+    assert report["SDalpha"] == 0.5
+    assert report["D1"] == 0.5
 
 
 def test_distance_mixed_inputs(tmp_path, capsys):
@@ -305,6 +317,20 @@ def test_bound_nonhermitian_unbounded_shift_interval_exits_3(tmp_path):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert "shift interval" in proc.stderr
+
+
+def test_speed_overflowing_fisher_information_exits_3(tmp_path):
+    # F_2 = 4 Var(H) = 4e400 is not a finite float
+    spec = {"kind": "unitary",
+            "hamiltonian": matrix_json(np.diag([1e200, -1e200])),
+            "state": PLUS_RHO}
+    fam = write(tmp_path, "fam.json", spec)
+    proc = run_process(["speed", "--family", fam, "--povm", "qfi"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Warning" not in proc.stderr
+    assert "Fisher information is not a finite float" in proc.stderr
 
 
 # -- estimate ---------------------------------------------------------
@@ -533,3 +559,68 @@ def test_cli_loads_no_scipy_for_unitary_speed(tmp_path):
     assert probe["after_import"] == []
     assert probe["code"] == 0
     assert probe["after_speed"] == []
+
+
+# -- golden reports ---------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_KINDS = ("unitary", "non_hermitian", "lindblad", "thermal", "table")
+
+
+def golden_family(kind, dim):
+    """A seeded family of the given kind in the CLI's JSON format; every
+    golden report evaluates it at theta = 0.37."""
+    def inst(name, index):
+        return oracle.random_instance(name, dim, 17, index)
+
+    h, rho = inst("hermitian", 0), inst("density", 1)
+    if kind == "unitary":
+        return {"kind": kind, "hamiltonian": matrix_json(h),
+                "state": matrix_json(rho)}
+    if kind == "non_hermitian":
+        return {"kind": kind, "h": matrix_json(h),
+                "gamma": matrix_json(0.2 * inst("density", 2)),
+                "state": matrix_json(rho)}
+    if kind == "lindblad":
+        jump = 0.3 * inst("hermitian", 3)
+        ada = jump.conj().T @ jump
+        eye = np.eye(dim)
+        m = (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
+             + np.kron(jump.conj(), jump)
+             - 0.5 * np.kron(eye, ada) - 0.5 * np.kron(ada.T, eye))
+        return {"kind": kind, "superop": matrix_json(m),
+                "state": matrix_json(rho)}
+    if kind == "thermal":
+        return {"kind": kind, "hamiltonian": matrix_json(h)}
+    orbit = quantum.ParametricFamily.unitary(h, rho)
+    grid = [0.37 + 0.05 * (k - 3) for k in range(7)]
+    return {"kind": kind, "points": [
+        {"theta": t, "state": matrix_json(orbit.state_at(t))} for t in grid]}
+
+
+def _golden_cases():
+    speed = ["speed", "--theta", "0.37", "--povm"]
+    cases = {}
+    for kind in GOLDEN_KINDS:
+        for dim in (2, 3):
+            cases[f"speed-{kind}-d{dim}-qfi"] = (kind, dim, speed + ["qfi"])
+            cases[f"speed-{kind}-d{dim}-trace_speed"] = (
+                kind, dim, speed + ["trace_speed", "--alpha", "3"])
+    cases["oracle-unitary-d2"] = ("unitary", 2, [
+        "oracle", "--objective", "f_alpha", "--alpha", "2", "--theta", "0.37",
+        "--restarts", "8", "--seed", "3", "--povm"])
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_report_matches_golden(case, tmp_path, capsys):
+    # stdout must stay byte-identical for fixed inputs and seeds; each
+    # golden file holds the report printed when the case was recorded
+    kind, dim, argv = GOLDEN_CASES[case]
+    fam = write(tmp_path, "family.json", golden_family(kind, dim))
+    code, out, err = run(capsys, argv + ["--family", fam])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")

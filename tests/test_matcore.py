@@ -2,6 +2,7 @@
 Jordan-Hahn decomposition, superoperator vectorization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,36 @@ def test_require_hermitian_symmetrizes_without_overflow(scale):
                               (a + a.conj().T) / 2)
     big = matcore.require_hermitian(np.diag([1e308, -1e308]))
     assert np.array_equal(big, np.diag([1e308, -1e308]))
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1e308], [-1e308, 0]],
+    [[0, 1.7e308 + 1.7e308j], [-1.7e308 + 1.7e308j, 0]],
+    [[1.7e308j, 0], [0, 0]],
+])
+def test_hermiticity_defect_overflows_to_inf_silently(a):
+    a = np.asarray(a, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matcore.hermiticity_defect(a) == math.inf
+        with pytest.raises(InvalidInputError, match=r"max\|A - A\^dag\| = inf"):
+            matcore.require_hermitian(a)
+
+
+def test_hermiticity_defect_matches_the_direct_difference():
+    # forming the difference on A/4 and scaling back is exact away from
+    # subnormals, so finite defects keep their bits
+    rng = generator(10)
+    for scale in (1e-300, 1e-3, 1.0, 1e200, 1e307):
+        for dim in (1, 2, 5):
+            a = scale * random_matrix(rng, dim)
+            want = float(np.max(np.abs(a - a.conj().T)))
+            assert matcore.hermiticity_defect(a) == want
+    near = np.array([[0, 1.7e308 + 1.7e308j], [1.6e308 - 1.7e308j, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matcore.hermiticity_defect(near) == float(
+            np.max(np.abs(near - near.conj().T)))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -276,13 +307,13 @@ def _alpha_takers():
         ("dist_alpha", lambda a: classical.dist_alpha([1, 0], [0.5, 0.5], a),
          False),
         ("dist_schatten_alpha",
-         lambda a: classical.dist_schatten_alpha([1, 0], [0.5, 0.5], a), False),
+         lambda a: classical.dist_schatten_alpha([1, 0], [0.5, 0.5], a), True),
         ("gen_fisher", lambda a: classical.gen_fisher(dist, a), False),
         ("schatten_fisher", lambda a: classical.schatten_fisher(dist, a), True),
         ("classical_speed",
          lambda a: classical.classical_speed(dist, a, "schatten"), True),
         ("speed_from_samples",
-         lambda a: classical.speed_from_samples(snaps, a)[0], False),
+         lambda a: classical.speed_from_samples(snaps, a)[0], True),
         ("schatten_distance",
          lambda a: quantum.schatten_distance(plus, np.eye(2) / 2, a), True),
         ("schatten_speed", lambda a: quantum.schatten_speed(fam, 0.0, a), True),
@@ -322,3 +353,16 @@ def test_one_alpha_domain(name, fn, inf_defined):
     assert math.isfinite(fn(1.0))
     if inf_defined:
         assert math.isfinite(fn(math.inf))
+    else:
+        with pytest.raises(InvalidInputError):
+            fn(math.inf)
+
+
+def test_finite_alpha_check():
+    matcore.require_finite_alpha(1.0, "f_alpha")
+    with pytest.raises(InvalidInputError,
+                       match="alpha must be >= 1 or inf, got nan"):
+        matcore.require_finite_alpha(math.nan, "f_alpha")
+    with pytest.raises(InvalidInputError,
+                       match="alpha = inf is not defined for d_alpha"):
+        matcore.require_finite_alpha(math.inf, "d_alpha")

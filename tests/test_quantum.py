@@ -1,9 +1,11 @@
 """Quantum distance, speed, SLD, and optimal-measurement tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qspeed import classical, matcore, quantum
+from qspeed import classical, matcore, oracle, quantum
 from qspeed.errors import (DegenerateInputError, InvalidInputError,
                           NumericalConsistencyError)
 from qspeed.quantum import POVM, ParametricFamily
@@ -390,6 +392,117 @@ def test_optimal_povm_completeness():
     povm = quantum.optimal_povm(fam, 0.0, "trace_speed")
     total = sum(np.asarray(e) for e in povm)
     assert np.linalg.norm(total - np.eye(4)) <= 1e-9
+
+
+def test_eigenbasis_povm_passes_the_full_check():
+    # _from_basis checks completeness only; every element it builds must
+    # still pass POVM()'s per-element Hermiticity and positivity checks
+    for dim in range(2, 9):
+        for k in range(12):
+            rng = generator(314, dim, k)
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            g[:, rng.integers(1, dim + 1):] = 0.0  # rank-deficient when cut
+            a = g @ g.conj().T if k % 2 else g + g.conj().T
+            povm = quantum._eigenbasis_povm(a)
+            checked = POVM(list(povm.elements))
+            assert all(np.array_equal(x, y) for x, y in zip(checked, povm))
+
+
+def test_from_basis_rejects_a_non_unitary_basis():
+    v = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(InvalidInputError,
+                       match="POVM elements sum to identity only within"):
+        POVM._from_basis(v, [[0], [1]])
+
+
+def test_each_call_evaluates_the_family_once(monkeypatch):
+    expm = quantum._expm
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(quantum, "_expm", counted)
+    h = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    # Gamma vanishes on the initial state, so the trace is stationary at
+    # theta = 0 and the induced distribution is normalized
+    fam = ParametricFamily.non_hermitian(h, np.diag([0.0, 0.3]),
+                                         np.diag([1.0, 0.0]))
+    for fn in (lambda: quantum.qfi(fam, 0.0),
+               lambda: quantum.sld(fam, 0.0),
+               lambda: quantum.induced_parametric(fam, 0.0,
+                                                  quantum.basis_povm(2)),
+               lambda: quantum.optimal_povm(fam, 0.0, "qfi")):
+        calls.clear()
+        fn()
+        assert len(calls) == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def pinned_families():
+    """Ten seeded families at theta = 0.37: every kind with a mixed state,
+    three kinds with a pure state, and two rank-deficient mixed states."""
+    def inst(kind, dim, index):
+        return oracle.random_instance(kind, dim, 41, index)
+
+    dim = 3
+    h = inst("hermitian", dim, 0)
+    jump = 0.3 * inst("hermitian", dim, 1)
+    ada = jump.conj().T @ jump
+    eye = np.eye(dim)
+    lindblad = (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
+                + np.kron(jump.conj(), jump)
+                - 0.5 * np.kron(eye, ada) - 0.5 * np.kron(ada.T, eye))
+    gamma = 0.2 * inst("density", dim, 2)
+    mixed = inst("density", dim, 3)
+    pure = inst("pure", dim, 4)
+    psi, phi = inst("pure", 4, 5), inst("pure", 4, 6)
+    rank2 = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.outer(phi, phi.conj())
+    h4 = inst("hermitian", 4, 7)
+    orbit = ParametricFamily.unitary(h, mixed)
+    grid = [0.37 + 0.05 * (k - 3) for k in range(7)]
+    return {
+        "unitary-mixed": ParametricFamily.unitary(h, mixed),
+        "non_hermitian-mixed": ParametricFamily.non_hermitian(h, gamma, mixed),
+        "lindblad-mixed": ParametricFamily.lindblad(lindblad, mixed),
+        "thermal": ParametricFamily.thermal(h),
+        "table-mixed": ParametricFamily.table(
+            [(t, orbit.state_at(t)) for t in grid]),
+        "unitary-pure": ParametricFamily.unitary(h, pure),
+        "non_hermitian-pure": ParametricFamily.non_hermitian(h, gamma, pure),
+        "lindblad-pure": ParametricFamily.lindblad(lindblad, pure),
+        "unitary-rank2": ParametricFamily.unitary(h4, rank2),
+        "non_hermitian-rank2": ParametricFamily.non_hermitian(
+            h4, 0.2 * inst("density", 4, 8), rank2),
+    }
+
+
+def pinned_values(fam, theta=0.37):
+    res = quantum.sld(fam, theta)
+    return {
+        "F1": np.float64(quantum.trace_speed(fam, theta)),
+        "F2": np.float64(quantum.qfi(fam, theta)),
+        "sld": res.operator,
+        "support": np.int64(res.support_dim),
+        "povm_qfi": np.stack(quantum.optimal_povm(fam, theta, "qfi").elements),
+        "povm_trace": np.stack(
+            quantum.optimal_povm(fam, theta, "trace_speed").elements),
+    }
+
+
+_PINNED = pinned_families()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pinned_speeds_and_povms(name):
+    # exact bits: reports print these with 12 digits, and a zero whose
+    # sign flips prints as -0
+    with np.load(GOLDEN / "points.npz") as want:
+        for key, value in pinned_values(_PINNED[name]).items():
+            assert np.array_equal(value, want[f"{name}/{key}"]), key
 
 
 # -- pure-state two-projector measurement -----------------------------
