@@ -179,9 +179,11 @@ def moment_lower_bound(d: ParametricDist, outcomes, alpha: float, g: float) -> f
 
         f_alpha^(1/alpha) >= |d<M>/dtheta| / (sum_x p_x |m_x - g|^beta)^(1/beta)
 
-    with the conjugate exponent beta = alpha/(alpha-1).
+    with the conjugate exponent beta = alpha/(alpha-1).  f_alpha is not
+    defined at alpha = inf, so neither is the bound.
     """
-    if not (alpha > 1):
+    require_finite_alpha(alpha, "f_alpha")
+    if alpha == 1:
         raise InvalidInputError(f"moment bound requires alpha > 1, got {alpha}")
     m = np.asarray(outcomes, dtype=float).ravel()
     if m.shape != d.weights.shape:

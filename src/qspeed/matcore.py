@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalConsistencyError
 
 # Absolute tolerances for Hermiticity and trace checks; spectral
 # tolerances scale with dimension and norm (backward-stable eigensolver
@@ -43,12 +43,12 @@ def psd_tol(dim: int, norm_inf: float) -> float:
     return dim * 1e-12 * max(norm_inf, 1.0)
 
 
-def zero_tol(a: np.ndarray) -> float:
-    """Spectral splitting tolerance: eigenvalues this close to zero are
+def zero_tol(w: np.ndarray) -> float:
+    """Spectral splitting tolerance from the eigenvalues w of a Hermitian
+    operator, whose 2-norm is max |w|: eigenvalues this close to zero are
     treated as zero (assigned to neither sign in jordan_hahn)."""
-    a = np.asarray(a)
-    scale = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    return a.shape[0] * np.finfo(float).eps * max(scale, 1.0)
+    scale = float(np.max(np.abs(w))) if len(w) else 0.0
+    return len(w) * np.finfo(float).eps * max(scale, 1.0)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -71,12 +71,13 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(q - q.conj().T))) * 4
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
+def hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(A + A^dag)/2 as A/2 + (A/2)^dag, which cannot overflow and, halving
     being exact, is the same matrix for finite inputs that do not underflow
-    (a zero may change sign)."""
-    h = a / 2
-    h += h.conj().T
+    (a zero may change sign).  A stack (..., d, d) is taken matrix by
+    matrix; out=a works in place."""
+    h = np.divide(a, 2, out=out)
+    h += h.conj().swapaxes(-1, -2)
     return h
 
 
@@ -177,7 +178,9 @@ def schatten_norm(a, alpha: float) -> float:
 
     alpha = +inf returns the largest singular value.  Hermitian inputs
     take the cheaper eigvalsh path; the singular values are then the
-    absolute eigenvalues.
+    absolute eigenvalues.  A sum that overflows is recomputed on the
+    singular values scaled by the largest; a norm that still exceeds the
+    float range raises NumericalConsistencyError.
     """
     require_alpha(alpha)
     a = as_matrix(a)
@@ -189,11 +192,21 @@ def schatten_norm(a, alpha: float) -> float:
         sv = np.linalg.svd(a, compute_uv=False)
     if np.isinf(alpha):
         return float(np.max(sv))
-    if alpha == 1:
-        return float(np.sum(sv))
-    if alpha == 2:
-        return float(np.sqrt(np.sum(sv * sv)))
-    return float(np.sum(sv ** alpha) ** (1.0 / alpha))
+    with np.errstate(over="ignore"):
+        if alpha == 1:
+            norm = np.sum(sv)
+        elif alpha == 2:
+            norm = np.sqrt(np.sum(sv * sv))
+        else:
+            norm = np.sum(sv ** alpha) ** (1.0 / alpha)
+        if not np.isfinite(norm):
+            s = np.max(sv)
+            norm = s * np.sum((sv / s) ** alpha) ** (1.0 / alpha)
+    if not np.isfinite(norm):
+        raise NumericalConsistencyError(
+            f"the Schatten {alpha:g}-norm exceeds the float range"
+        )
+    return float(norm)
 
 
 def jordan_hahn(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -205,7 +218,7 @@ def jordan_hahn(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """
     a = require_hermitian(a)
     w, v = np.linalg.eigh(a)
-    tol = zero_tol(a)
+    tol = zero_tol(w)
     pos = w > tol
     neg = w < -tol
     vp = v[:, pos]
@@ -227,7 +240,7 @@ def spectral_projectors(a, cluster_tol: float | None = None):
     a = require_hermitian(a)
     w, v = np.linalg.eigh(a)
     if cluster_tol is None:
-        cluster_tol = zero_tol(a)
+        cluster_tol = zero_tol(w)
     values = []
     projectors = []
     i = 0

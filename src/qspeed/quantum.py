@@ -30,6 +30,10 @@ from .matcore import (P_FLOOR, Superoperator, as_matrix, hermiticity_defect,
 
 COMPLETENESS_TOL = 1e-9
 
+# Rank-1 projectors are built this many bytes of elements at a time, which
+# bounds the temporaries of one block.
+_BLOCK_BYTES = 1 << 20
+
 
 def _expm(a: np.ndarray) -> np.ndarray:
     # scipy is imported here, not at module level: its import takes several
@@ -49,7 +53,11 @@ def completeness_violation(elements) -> float:
 
 
 class POVM:
-    """A positive-operator-valued measure: PSD elements summing to identity."""
+    """A positive-operator-valued measure: PSD elements summing to identity.
+
+    The k elements are stored as one (k, d, d) stack; ``elements`` holds
+    views of it.
+    """
 
     def __init__(self, elements):
         if not elements:
@@ -68,28 +76,39 @@ class POVM:
                     f"POVM element {k} has negative eigenvalue {-neg:.3e}"
                 )
             elems.append(e)
-        defect = completeness_violation(elems)
+        self._adopt(np.stack(elems))
+
+    def _adopt(self, stack: np.ndarray) -> None:
+        defect = completeness_violation(stack)
         if defect:
             raise InvalidInputError(
                 f"POVM elements sum to identity only within {defect:.3e}"
             )
-        self.elements = tuple(elems)
-        self.dim = dim
+        self._stack = stack
+        self.elements = tuple(stack)
+        self.dim = stack.shape[1]
 
     @classmethod
     def _from_basis(cls, v: np.ndarray, groups) -> "POVM":
         """Projectors B B^dag onto the column groups B = v[:, group] of a
-        unitary v.  A Gram matrix is PSD, so only completeness is checked."""
-        elems = tuple(hermitian_part(b @ b.conj().T)
-                      for b in (v[:, group] for group in groups))
-        defect = completeness_violation(elems)
-        if defect:
-            raise InvalidInputError(
-                f"POVM elements sum to identity only within {defect:.3e}"
-            )
+        unitary v.  A Gram matrix is PSD, so only completeness is checked.
+        The leading singleton groups are built in place as batched rank-1
+        matmuls, _BLOCK_BYTES of elements at a time; the batched matmul
+        has the bits of the 2-D one."""
+        d = v.shape[0]
+        stack = np.empty((len(groups), d, d), dtype=complex)
+        n = next((i for i, g in enumerate(groups) if len(g) != 1), len(groups))
+        cols = v[:, [g[0] for g in groups[:n]]].T
+        step = max(1, _BLOCK_BYTES // stack[:1].nbytes)
+        for lo in range(0, n, step):
+            c, block = cols[lo:lo + step], stack[lo:min(lo + step, n)]
+            np.matmul(c[:, :, None], c.conj()[:, None, :], out=block)
+            hermitian_part(block, out=block)
+        for i in range(n, len(groups)):
+            b = v[:, groups[i]]
+            stack[i] = hermitian_part(b @ b.conj().T)
         povm = cls.__new__(cls)
-        povm.elements = elems
-        povm.dim = v.shape[0]
+        povm._adopt(stack)
         return povm
 
     def __len__(self) -> int:
@@ -98,17 +117,21 @@ class POVM:
     def __iter__(self):
         return iter(self.elements)
 
-    def probabilities(self, rho) -> np.ndarray:
-        rho = as_matrix(rho, "rho")
-        if rho.shape[0] != self.dim:
+    def _traces(self, x, name: str) -> np.ndarray:
+        """Re Tr{E_k X} for every element, as one contraction:
+        Tr{E X} = sum_ij E_ij X_ji."""
+        x = as_matrix(x, name)
+        if x.shape[0] != self.dim:
             raise InvalidInputError("state dimension does not match POVM")
-        p = np.array([float(np.trace(e @ rho).real) for e in self.elements])
-        return np.clip(p, 0.0, None)
+        k = len(self._stack)
+        return (self._stack.reshape(k, -1) @ x.T.reshape(-1)).real
+
+    def probabilities(self, rho) -> np.ndarray:
+        return np.clip(self._traces(rho, "rho"), 0.0, None)
 
     def expectations(self, x) -> np.ndarray:
         """Tr{E_k X} for an arbitrary operator X (no clipping)."""
-        x = as_matrix(x, "operand")
-        return np.array([float(np.trace(e @ x).real) for e in self.elements])
+        return self._traces(x, "operand")
 
 
 def basis_povm(dim: int) -> POVM:
@@ -483,7 +506,7 @@ def _eigenbasis_povm(a: np.ndarray) -> POVM:
     never leaks into the output."""
     a = require_hermitian(a)
     w, v = np.linalg.eigh(a)
-    null = np.abs(w) <= zero_tol(a)
+    null = np.abs(w) <= zero_tol(w)
     groups = [[k] for k in np.flatnonzero(~null)]
     if null.any():
         groups.append(np.flatnonzero(null))

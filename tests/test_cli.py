@@ -333,6 +333,28 @@ def test_speed_overflowing_fisher_information_exits_3(tmp_path):
     assert "Fisher information is not a finite float" in proc.stderr
 
 
+@pytest.mark.parametrize("scale, alpha, code", [
+    (1e200, "2", 0), (1e200, "3", 0), (1e308, "1", 3)])
+def test_witness_schatten_norm_overflow(tmp_path, scale, alpha, code):
+    # sum sigma^alpha overflowed here and the report said "speed": "inf"
+    spec = {"kind": "unitary",
+            "hamiltonian": matrix_json(np.diag([scale, -scale] * 2)),
+            "state": matrix_json(np.full((4, 4), 0.25))}
+    fam = write(tmp_path, "fam.json", spec)
+    proc = run_process(["witness", "--family", fam, "--kind", "ksep",
+                        "--alpha", alpha])
+    assert proc.returncode == code
+    assert "Warning" not in proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert all(math.isfinite(report[key]) for key in ("speed", "bound"))
+    else:
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "exceeds the float range" in proc.stderr
+
+
 # -- estimate ---------------------------------------------------------
 
 

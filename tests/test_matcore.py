@@ -309,6 +309,8 @@ def _alpha_takers():
         ("dist_schatten_alpha",
          lambda a: classical.dist_schatten_alpha([1, 0], [0.5, 0.5], a), True),
         ("gen_fisher", lambda a: classical.gen_fisher(dist, a), False),
+        ("moment_lower_bound", lambda a: classical.moment_lower_bound(
+            dist, [1.0, -1.0], a, 0.0), False),
         ("schatten_fisher", lambda a: classical.schatten_fisher(dist, a), True),
         ("classical_speed",
          lambda a: classical.classical_speed(dist, a, "schatten"), True),
@@ -341,6 +343,8 @@ def _alpha_takers():
 
 
 _ALPHA_TAKERS = _alpha_takers()
+# orders whose conjugate exponent alpha/(alpha - 1) must be finite
+_ABOVE_ONE = {"moment_lower_bound"}
 
 
 @pytest.mark.parametrize("name, fn, inf_defined", _ALPHA_TAKERS,
@@ -350,7 +354,12 @@ def test_one_alpha_domain(name, fn, inf_defined):
         with pytest.raises(InvalidInputError) as exc:
             fn(bad)
         assert str(exc.value) == f"alpha must be >= 1 or inf, got {bad}"
-    assert math.isfinite(fn(1.0))
+    if name in _ABOVE_ONE:
+        with pytest.raises(InvalidInputError):
+            fn(1.0)
+        assert math.isfinite(fn(1.5))
+    else:
+        assert math.isfinite(fn(1.0))
     if inf_defined:
         assert math.isfinite(fn(math.inf))
     else:

@@ -70,6 +70,13 @@ def test_induced_parametric_matches_finite_difference():
     assert np.allclose(d.derivative, (p_hi - p_lo) / (2 * h), atol=1e-8)
 
 
+def test_expectations_rejects_a_wrong_dimension():
+    povm = quantum.basis_povm(2)
+    with pytest.raises(InvalidInputError,
+                       match="state dimension does not match POVM"):
+        povm.expectations(np.eye(3))
+
+
 # -- fidelity and distances -------------------------------------------
 
 
@@ -413,6 +420,125 @@ def test_from_basis_rejects_a_non_unitary_basis():
     with pytest.raises(InvalidInputError,
                        match="POVM elements sum to identity only within"):
         POVM._from_basis(v, [[0], [1]])
+
+
+# -- the stacked POVM kernel against the per-element code it replaced --
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(g)[0]
+
+
+def _block(dim):
+    return max(1, quantum._BLOCK_BYTES // (16 * dim * dim))
+
+
+def _singleton_counts():
+    """(dim, n) with n rank-1 groups and the rest of the dim columns as one
+    null group: n sits at 1, at full rank, and at a block size and one
+    either side of it wherever that fits in dim."""
+    cases = []
+    for dim in (2, 3, 8, 39, 40, 41, 45, 64, 90, 128, 130):
+        b = _block(dim)
+        counts = {1, dim} | {n for n in (b - 1, b, b + 1) if 1 <= n <= dim}
+        cases += [(dim, n) for n in sorted(counts)]
+    return cases
+
+
+@pytest.mark.parametrize("dim, n", _singleton_counts())
+def test_from_basis_matches_the_per_group_matmul(dim, n):
+    v = random_unitary(generator(901, dim, n), dim)
+    groups = [[k] for k in range(n)]
+    if n < dim:
+        groups.append(list(range(n, dim)))
+    povm = POVM._from_basis(v, groups)
+    assert len(povm) == len(groups)
+    for e, group in zip(povm, groups):
+        b = v[:, group]
+        assert same_bits(e, matcore.hermitian_part(b @ b.conj().T))
+
+
+def test_from_basis_block_boundaries_are_covered():
+    # the cases above reach past one block and end exactly on one
+    cases = _singleton_counts()
+    assert any(n > _block(dim) for dim, n in cases)
+    assert any(n == _block(dim) < dim for dim, n in cases)
+    assert any(n == _block(dim) == dim for dim, n in cases)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16, 41, 64])
+def test_eigenbasis_povm_of_a_rank_deficient_operator(dim):
+    rng = generator(902, dim)
+    rank = max(1, dim // 3)
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    for a in (g @ g.conj().T, g @ np.diag(np.where(np.arange(rank) % 2, 1.0,
+                                                     -1.0)) @ g.conj().T):
+        a = matcore.hermitian_part(a)
+        w, v = np.linalg.eigh(a)
+        # the tolerance the eigenvalues replaced: n eps max(||A||_2, 1)
+        null = np.abs(w) <= dim * np.finfo(float).eps * max(
+            float(np.linalg.norm(a, 2)), 1.0)
+        assert np.count_nonzero(null) == dim - rank
+        assert np.array_equal(null, np.abs(w) <= matcore.zero_tol(w))
+        groups = [[k] for k in np.flatnonzero(~null)] + [np.flatnonzero(null)]
+        povm = quantum._eigenbasis_povm(a)
+        assert len(povm) == len(groups)
+        for e, group in zip(povm, groups):
+            b = v[:, group]
+            assert same_bits(e, matcore.hermitian_part(b @ b.conj().T))
+
+
+def _general_povm(rng, dim, count):
+    """S^(-1/2) A_k S^(-1/2) for random PSD A_k summing to S."""
+    parts = []
+    for _ in range(count):
+        g = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        parts.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(parts))
+    root = (v / np.sqrt(w)) @ v.conj().T
+    return POVM([root @ a @ root for a in parts])
+
+
+def _stacked_povms():
+    povms = []
+    for dim in (2, 3, 7, 32):
+        rng = generator(903, dim)
+        povms.append(_general_povm(rng, dim, dim + 2))
+        povms.append(POVM._from_basis(
+            random_unitary(rng, dim),
+            [[k] for k in range(dim // 2)] + [list(range(dim // 2, dim))]))
+        povms.append(quantum.basis_povm(dim))
+        povms.append(oracle.random_instance("povm", dim, 903, 0))
+    return povms
+
+
+def test_traces_match_the_per_element_trace():
+    eps = np.finfo(float).eps
+    for povm in _stacked_povms():
+        dim = povm.dim
+        rng = generator(904, dim, len(povm))
+        rho = random_density(rng, dim)
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for operand in (rho, random_hermitian(rng, dim), x):
+            ref = np.array([np.trace(e @ operand).real for e in povm])
+            tol = 2 * dim * dim * eps * np.array(
+                [np.sum(np.abs(e) * np.abs(operand.T)) for e in povm])
+            assert np.all(np.abs(povm.expectations(operand) - ref) <= tol)
+            if operand is rho:
+                got = povm.probabilities(rho)
+                assert np.all(np.abs(got - np.clip(ref, 0.0, None)) <= tol)
+
+
+def test_stacked_povm_round_trips_through_its_elements():
+    for povm in _stacked_povms():
+        again = POVM(list(povm))
+        assert len(again) == len(povm)
+        assert all(same_bits(a, b) for a, b in zip(again, povm))
 
 
 def test_each_call_evaluates_the_family_once(monkeypatch):
