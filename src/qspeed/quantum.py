@@ -55,11 +55,14 @@ def completeness_violation(elements) -> float:
 class POVM:
     """A positive-operator-valued measure: PSD elements summing to identity.
 
-    The k elements are stored as one (k, d, d) stack; ``elements`` holds
-    views of it.
+    ``POVM([...])`` stores its k elements as one (k, d, d) stack.  A
+    projective measurement made by ``_from_basis`` stores only its basis,
+    O(d^2), and builds its elements when iterated.  ``elements`` is the
+    tuple of all elements.
     """
 
     def __init__(self, elements):
+        elements = list(elements)
         if not elements:
             raise InvalidInputError("POVM needs at least one element")
         elems = []
@@ -76,53 +79,73 @@ class POVM:
                     f"POVM element {k} has negative eigenvalue {-neg:.3e}"
                 )
             elems.append(e)
-        self._adopt(np.stack(elems))
-
-    def _adopt(self, stack: np.ndarray) -> None:
-        defect = completeness_violation(stack)
-        if defect:
-            raise InvalidInputError(
-                f"POVM elements sum to identity only within {defect:.3e}"
-            )
+        stack = np.stack(elems)
+        _require_complete(stack)
         self._stack = stack
-        self.elements = tuple(stack)
-        self.dim = stack.shape[1]
+        self.dim = dim
 
     @classmethod
     def _from_basis(cls, v: np.ndarray, groups) -> "POVM":
         """Projectors B B^dag onto the column groups B = v[:, group] of a
-        unitary v.  A Gram matrix is PSD, so only completeness is checked.
-        The leading singleton groups are built in place as batched rank-1
-        matmuls, _BLOCK_BYTES of elements at a time; the batched matmul
-        has the bits of the 2-D one."""
-        d = v.shape[0]
-        stack = np.empty((len(groups), d, d), dtype=complex)
-        n = next((i for i, g in enumerate(groups) if len(g) != 1), len(groups))
-        cols = v[:, [g[0] for g in groups[:n]]].T
-        step = max(1, _BLOCK_BYTES // stack[:1].nbytes)
-        for lo in range(0, n, step):
-            c, block = cols[lo:lo + step], stack[lo:min(lo + step, n)]
-            np.matmul(c[:, :, None], c.conj()[:, None, :], out=block)
-            hermitian_part(block, out=block)
-        for i in range(n, len(groups)):
-            b = v[:, groups[i]]
-            stack[i] = hermitian_part(b @ b.conj().T)
+        unitary v, kept as the columns w = v[:, concatenate(groups)] and
+        the group sizes.  A Gram matrix is PSD, and the projectors sum to
+        w w^dag, so only that is checked: a missing or a repeated column
+        fails it."""
         povm = cls.__new__(cls)
-        povm._adopt(stack)
+        povm._stack = None
+        povm._w = np.asarray(v, dtype=complex)[:, np.concatenate(groups)]
+        povm._sizes = [len(g) for g in groups]
+        povm.dim = v.shape[0]
+        _require_complete([povm._w @ povm._w.conj().T])
         return povm
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._sizes if self._stack is None else self._stack)
 
     def __iter__(self):
-        return iter(self.elements)
+        if self._stack is None:
+            return self._basis_elements()
+        return iter(self._stack)
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(self)
+
+    def _basis_elements(self):
+        """The projectors of a basis POVM, one at a time.  The leading
+        singleton groups are batched rank-1 matmuls, _BLOCK_BYTES of
+        elements per new block (the batched matmul has the bits of the
+        2-D one); each later group B is B B^dag."""
+        w, d = self._w, self.dim
+        n = next((i for i, s in enumerate(self._sizes) if s != 1),
+                 len(self._sizes))
+        cols = w[:, :n].T
+        step = max(1, _BLOCK_BYTES // (w.itemsize * d * d))
+        for lo in range(0, n, step):
+            c = cols[lo:lo + step]
+            block = np.matmul(c[:, :, None], c.conj()[:, None, :])
+            yield from hermitian_part(block, out=block)
+        lo = n
+        for size in self._sizes[n:]:
+            b = w[:, lo:lo + size]
+            yield hermitian_part(b @ b.conj().T)
+            lo += size
 
     def _traces(self, x, name: str) -> np.ndarray:
-        """Re Tr{E_k X} for every element, as one contraction:
-        Tr{E X} = sum_ij E_ij X_ji."""
+        """Re Tr{E_k X} for every element.  A stack is one contraction,
+        Tr{E X} = sum_ij E_ij X_ji.  A basis takes one matmul X W and the
+        products b^dag (X b) of its columns b, as one batch; a group B
+        sums its columns, Tr{B B^dag X} = sum_b b^dag X b."""
         x = as_matrix(x, name)
         if x.shape[0] != self.dim:
             raise InvalidInputError("state dimension does not match POVM")
+        if self._stack is None:
+            w = self._w
+            cols = np.matmul(w.conj().T[:, None, :],
+                             (x @ w).T[:, :, None])[:, 0, 0].real
+            if len(self._sizes) == self.dim:  # all rank-1; skips a cumsum
+                return cols
+            return np.add.reduceat(cols, np.cumsum([0] + self._sizes[:-1]))
         k = len(self._stack)
         return (self._stack.reshape(k, -1) @ x.T.reshape(-1)).real
 
@@ -132,6 +155,14 @@ class POVM:
     def expectations(self, x) -> np.ndarray:
         """Tr{E_k X} for an arbitrary operator X (no clipping)."""
         return self._traces(x, "operand")
+
+
+def _require_complete(elements) -> None:
+    defect = completeness_violation(elements)
+    if defect:
+        raise InvalidInputError(
+            f"POVM elements sum to identity only within {defect:.3e}"
+        )
 
 
 def basis_povm(dim: int) -> POVM:
@@ -292,7 +323,7 @@ class ParametricFamily:
             raise NumericalConsistencyError(
                 f"family derivative lost Hermiticity: defect {defect:.3e}"
             )
-        return rho, (d + d.conj().T) / 2
+        return rho, hermitian_part(d)
 
     def derivative_at(self, theta: float) -> np.ndarray:
         return self.at(theta)[1]
@@ -456,8 +487,7 @@ def sld(fam: ParametricFamily, theta: float) -> SLDResult:
     """
     v, d, denom, live, _, support = _support_blocks(*fam.at(theta))
     l_eig = np.where(live, 2.0 * d / np.where(live, denom, 1.0), 0.0)
-    op = v @ l_eig @ v.conj().T
-    op = (op + op.conj().T) / 2
+    op = hermitian_part(v @ l_eig @ v.conj().T)
     return SLDResult(operator=op, support_dim=support)
 
 

@@ -333,6 +333,21 @@ def test_speed_overflowing_fisher_information_exits_3(tmp_path):
     assert "Fisher information is not a finite float" in proc.stderr
 
 
+def test_speed_derivative_symmetrisation_does_not_overflow(tmp_path):
+    # drho has entries of 1e308: (d + d^dag) / 2 overflowed and the valid
+    # input was reported as "matrix has non-finite entries" with exit 2
+    spec = {"kind": "unitary",
+            "hamiltonian": matrix_json(np.diag([1e308, -1e308])),
+            "state": PLUS_RHO}
+    fam = write(tmp_path, "fam.json", spec)
+    proc = run_process(["speed", "--family", fam])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Warning" not in proc.stderr
+    assert "the Schatten 1-norm exceeds the float range" in proc.stderr
+
+
 @pytest.mark.parametrize("scale, alpha, code", [
     (1e200, "2", 0), (1e200, "3", 0), (1e308, "1", 3)])
 def test_witness_schatten_norm_overflow(tmp_path, scale, alpha, code):

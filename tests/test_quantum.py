@@ -1,5 +1,6 @@
 """Quantum distance, speed, SLD, and optimal-measurement tests."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -506,7 +507,7 @@ def _general_povm(rng, dim, count):
 
 def _stacked_povms():
     povms = []
-    for dim in (2, 3, 7, 32):
+    for dim in (2, 3, 7, 32, 128):
         rng = generator(903, dim)
         povms.append(_general_povm(rng, dim, dim + 2))
         povms.append(POVM._from_basis(
@@ -514,6 +515,9 @@ def _stacked_povms():
             [[k] for k in range(dim // 2)] + [list(range(dim // 2, dim))]))
         povms.append(quantum.basis_povm(dim))
         povms.append(oracle.random_instance("povm", dim, 903, 0))
+        # a rank-deficient operator: its null space is one multi-column group
+        g = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        povms.append(quantum._eigenbasis_povm(g @ g.conj().T))
     return povms
 
 
@@ -539,6 +543,53 @@ def test_stacked_povm_round_trips_through_its_elements():
         again = POVM(list(povm))
         assert len(again) == len(povm)
         assert all(same_bits(a, b) for a, b in zip(again, povm))
+
+
+def test_povm_takes_its_own_stack():
+    povm = oracle.random_instance("povm", 5, 905, 0)
+    stack = np.stack(povm.elements)
+    again = POVM(stack)
+    assert len(again) == len(povm)
+    assert all(same_bits(a, b) for a, b in zip(again, povm))
+    with pytest.raises(InvalidInputError, match="at least one element"):
+        POVM(np.empty((0, 2, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("columns", [[0, 1], [0, 1, 2, 2]],
+                         ids=["missing", "repeated"])
+def test_from_basis_needs_every_column_once(columns):
+    v = random_unitary(generator(906), 3)
+    groups = [[k] for k in columns[:-2]] + [columns[-2:]]
+    with pytest.raises(InvalidInputError,
+                       match="POVM elements sum to identity only within"):
+        POVM._from_basis(v, groups)
+
+
+def test_basis_povm_iterates_to_the_same_bits():
+    for dim in (3, 64, 128):
+        g = generator(907, dim).normal(size=(dim, dim // 2 + 1))
+        povm = quantum._eigenbasis_povm(g @ g.T)
+        first = [e.copy() for e in povm]
+        assert len(first) == len(povm) == dim // 2 + 2
+        assert all(same_bits(a, b) for a, b in zip(first, povm))
+        assert all(same_bits(a, b) for a, b in zip(first, povm.elements))
+
+
+def test_optimal_povms_store_only_their_basis():
+    # one (d, d, d) stack of projectors is 32 MiB at d = 128
+    dim = 128
+    rng = generator(908, dim)
+    fam = ParametricFamily.unitary(random_hermitian(rng, dim),
+                                   random_density(rng, dim))
+    tracemalloc.start()
+    try:
+        for target in ("trace_speed", "qfi"):
+            povm = quantum.optimal_povm(fam, 0.3, target)
+            quantum.induced_parametric(fam, 0.3, povm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_each_call_evaluates_the_family_once(monkeypatch):
