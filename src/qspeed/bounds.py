@@ -165,7 +165,7 @@ def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
     """
     require_alpha(alpha)
     defect = op.hermiticity_preservation_defect()
-    scale = max(float(np.linalg.norm(op.matrix)), 1.0)
+    scale = max(_norm(op.matrix), 1.0)
     if defect > 1e-9 * scale:
         raise InvalidInputError(
             "superoperator must preserve Hermiticity "
@@ -193,7 +193,7 @@ def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
         for _ in range(_MAX_ITERS):
             grad = _numeric_gradient(objective, z)
             grad -= z * float(z @ grad)  # tangent to the sphere
-            gnorm = float(np.linalg.norm(grad))
+            gnorm = _norm(grad)
             if gnorm == 0.0:
                 converged = True
                 break
@@ -266,6 +266,17 @@ def _pow2_scale(a: np.ndarray) -> float:
     """The largest power of two at or below max(|Re a|, |Im a|), or 1."""
     top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
     return math.ldexp(1.0, max(math.frexp(top)[1] - 1, 0))
+
+
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a), taken on a divided by _pow2_scale(a) only where
+    the plain norm overflows; every norm that is finite keeps its bits."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if math.isinf(norm):
+        s = _pow2_scale(a)
+        norm = s * float(np.linalg.norm(a / s))
+    return norm
 
 
 def _commute_2x2(h: np.ndarray, gamma: np.ndarray) -> bool:

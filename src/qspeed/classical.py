@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .matcore import P_FLOOR, require_alpha, require_finite_alpha
+from .matcore import (P_FLOOR, power_mean, power_sum, require_alpha,
+                      require_finite_alpha)
 
 SUM_TOL = 1e-9
 NEG_CLIP = 1e-12
@@ -106,8 +107,7 @@ def dist_alpha(p, q, alpha: float) -> float:
     p = as_prob(p, "p")
     q = as_prob(q, "q")
     _check_pair(p, q)
-    diff = np.abs(p ** (1.0 / alpha) - q ** (1.0 / alpha))
-    return float((0.5 * np.sum(diff ** alpha)) ** (1.0 / alpha))
+    return power_mean(p ** (1.0 / alpha) - q ** (1.0 / alpha), alpha, 0.5)
 
 
 def dist_schatten_alpha(p, q, alpha: float) -> float:
@@ -117,20 +117,16 @@ def dist_schatten_alpha(p, q, alpha: float) -> float:
     p = as_prob(p, "p")
     q = as_prob(q, "q")
     _check_pair(p, q)
-    diff = np.abs(p - q)
-    if np.isinf(alpha):
-        return float(np.max(diff))
-    return float((0.5 * np.sum(diff ** alpha)) ** (1.0 / alpha))
+    return power_mean(p - q, alpha, 0.5)
 
 
-def gen_fisher(d: ParametricDist, alpha: float) -> float:
-    """Generalized Fisher information f_alpha = sum_x p_x |p'_x/p_x|^alpha.
+def _fisher_terms(d: ParametricDist, alpha: float):
+    """(x, w) with f_alpha = sum_x w |x|^alpha, or None where it diverges.
 
     Outcomes with p_x <= p_floor and |p'_x| <= p_floor contribute nothing.
     An outcome with p_x <= p_floor but |p'_x| > p_floor means the support
-    itself moves with the parameter: f_alpha diverges for alpha > 1 (the
-    value +inf is returned rather than raising) while for alpha = 1 the
-    outcome contributes |p'_x|.
+    itself moves with the parameter: f_alpha diverges for alpha > 1, while
+    for alpha = 1 the outcome contributes |p'_x| (x = p'_x, w = 1).
     """
     require_finite_alpha(alpha, "f_alpha")
     p = d.weights
@@ -138,20 +134,35 @@ def gen_fisher(d: ParametricDist, alpha: float) -> float:
     live = p > P_FLOOR
     dead_moving = ~live & (np.abs(dp) > P_FLOOR)
     if alpha == 1:
-        return float(np.sum(np.abs(dp[live | dead_moving])))
+        return dp[live | dead_moving], 1.0
     if np.any(dead_moving):
-        return float("inf")
+        return None
     pl = p[live]
-    return float(np.sum(pl * np.abs(dp[live] / pl) ** alpha))
+    return dp[live] / pl, pl
+
+
+def _fisher_root(d: ParametricDist, alpha: float, scale: float = 1.0) -> float:
+    """(scale f_alpha)^(1/alpha), taken of the sum, not of the rounded f_alpha
+    (which underflows at large alpha); +inf where f_alpha diverges."""
+    terms = _fisher_terms(d, alpha)
+    if terms is None:
+        return float("inf")
+    return power_mean(terms[0], alpha, scale * terms[1])
+
+
+def gen_fisher(d: ParametricDist, alpha: float) -> float:
+    """Generalized Fisher information f_alpha = sum_x p_x |p'_x/p_x|^alpha;
+    +inf, rather than an error, where the support moves (_fisher_terms)."""
+    terms = _fisher_terms(d, alpha)
+    if terms is None:
+        return float("inf")
+    return float(power_sum(terms[0], alpha, terms[1]))
 
 
 def schatten_fisher(d: ParametricDist, alpha: float) -> float:
     """sf_alpha = (sum_x |p'_x|^alpha)^(1/alpha).  Coincides with f_1 at alpha=1."""
     require_alpha(alpha)
-    a = np.abs(d.derivative)
-    if np.isinf(alpha):
-        return float(np.max(a))
-    return float(np.sum(a ** alpha) ** (1.0 / alpha))
+    return power_mean(d.derivative, alpha)
 
 
 def classical_speed(d: ParametricDist, alpha: float, family: str = "power") -> float:
@@ -163,10 +174,7 @@ def classical_speed(d: ParametricDist, alpha: float, family: str = "power") -> f
     """
     require_alpha(alpha)
     if family == "power":
-        f = gen_fisher(d, alpha)
-        if np.isinf(f):
-            return float("inf")
-        return float((f / 2.0) ** (1.0 / alpha) / alpha)
+        return _fisher_root(d, alpha, 0.5) / alpha
     if family == "schatten":
         return float(2.0 ** (-1.0 / alpha) * schatten_fisher(d, alpha))
     raise InvalidInputError(f"unknown speed family {family!r}")
@@ -192,7 +200,7 @@ def moment_lower_bound(d: ParametricDist, outcomes, alpha: float, g: float) -> f
         raise InvalidInputError("outcome values must be finite")
     beta = alpha / (alpha - 1.0)
     numer = abs(float(np.sum(d.derivative * m)))
-    denom = float(np.sum(d.weights * np.abs(m - g) ** beta) ** (1.0 / beta))
+    denom = power_mean(m - g, beta, d.weights)
     if denom <= P_FLOOR:
         raise DegenerateInputError(
             "moment bound undefined: all probability mass sits at m_x = g"
@@ -206,13 +214,8 @@ def barankin_bound(d: ParametricDist, beta: float) -> float:
     Cramer-Rao bound 1/sqrt(f_2)."""
     if not (beta > 1):
         raise InvalidInputError(f"barankin bound requires beta > 1, got {beta}")
-    alpha = beta / (beta - 1.0)
-    f = gen_fisher(d, alpha)
-    if f == 0.0:
-        return float("inf")
-    if np.isinf(f):
-        return 0.0
-    return float(f ** (-1.0 / alpha))
+    root = _fisher_root(d, beta / (beta - 1.0))
+    return 1.0 / root if root else float("inf")
 
 
 FIT_WINDOW = 0.2  # stay inside the linear regime of the distance expansion

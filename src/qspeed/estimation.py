@@ -95,10 +95,19 @@ def _split_quad(fn, breakpoint: float) -> float:
     return float(left + right)
 
 
+def _require_scale(value: float, name: str) -> None:
+    """Reject a scale whose square is not a positive normal float: the
+    densities and Fisher informations divide by it."""
+    value = float(value)
+    if not (value > 0 and np.finfo(float).tiny <= value * value < math.inf):
+        raise InvalidInputError(
+            f"{name} must be positive with a normal float square, got {value}"
+        )
+
+
 def gaussian_location(sigma: float = 1.0) -> ContinuousModel:
     """Normal location family with known scale."""
-    if not sigma > 0:
-        raise InvalidInputError("sigma must be positive")
+    _require_scale(sigma, "sigma")
     s2 = sigma * sigma
 
     def pdf(x, theta):
@@ -118,8 +127,7 @@ def gaussian_location(sigma: float = 1.0) -> ContinuousModel:
 
 def cauchy_location(gamma: float = 1.0) -> ContinuousModel:
     """Cauchy location family; heavy tails, no mean."""
-    if not gamma > 0:
-        raise InvalidInputError("gamma must be positive")
+    _require_scale(gamma, "gamma")
 
     def pdf(x, theta):
         u = np.asarray(x, dtype=float) - theta
@@ -142,8 +150,7 @@ def cauchy_location(gamma: float = 1.0) -> ContinuousModel:
 
 def laplace_location(scale: float = 1.0) -> ContinuousModel:
     """Laplace location family; the sample median is its efficient estimator."""
-    if not scale > 0:
-        raise InvalidInputError("scale must be positive")
+    _require_scale(scale, "scale")
 
     def pdf(x, theta):
         u = np.abs(np.asarray(x, dtype=float) - theta)

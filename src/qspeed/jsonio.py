@@ -139,17 +139,6 @@ def snapshots_from_json(obj):
     return out
 
 
-def povm_from_json(obj, name: str = "povm") -> quantum.POVM:
-    if not isinstance(obj, dict) or "elements" not in obj:
-        raise InvalidInputError(f"{name} must be an object with \"elements\"")
-    elements = obj["elements"]
-    if not isinstance(elements, list) or not elements:
-        raise InvalidInputError(f"{name}: \"elements\" must be a nonempty list")
-    mats = [matrix_from_json(e, f"{name}: elements[{i}]")
-            for i, e in enumerate(elements)]
-    return quantum.POVM(mats)
-
-
 def povm_to_json(povm: quantum.POVM) -> dict:
     return {"elements": [matrix_to_json(e) for e in povm]}
 

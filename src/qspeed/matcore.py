@@ -1,7 +1,7 @@
 """Dense complex linear algebra at small dimension.
 
-Hermitian eigendecompositions, Schatten norms, matrix absolute values,
-the Jordan-Hahn decomposition of a Hermitian operator, and superoperators
+Hermitian eigendecompositions, power means and Schatten norms, the
+Jordan-Hahn decomposition of a Hermitian operator, and superoperators
 stored as dim^2 x dim^2 matrices acting on column-vectorized operators.
 
 All operations are pure functions on numpy arrays; nothing here mutates
@@ -22,6 +22,7 @@ from .errors import InvalidInputError, NumericalConsistencyError
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
 P_FLOOR = 1e-12
+_TINY = np.finfo(float).tiny  # the smallest normal float
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -168,9 +169,41 @@ def herm_fun(a, f) -> np.ndarray:
     return (v * f(w)) @ v.conj().T
 
 
-def matrix_abs(a) -> np.ndarray:
-    """|A| = sqrt(A^dag A) for Hermitian A, computed spectrally."""
-    return herm_fun(a, np.abs)
+def power_sum(x, alpha: float, weights=1.0):
+    """sum_x w |x|^alpha in plain floating point, which may underflow or
+    overflow.  alpha = 1 sums |x| and alpha = 2 squares by multiplying; a
+    scalar weight multiplies the sum, an array weights the terms."""
+    ax = np.abs(x)
+    terms = ax if alpha == 1 else ax * ax if alpha == 2 else ax ** alpha
+    if np.ndim(weights) == 0:
+        return weights * np.sum(terms)
+    return np.sum(weights * terms)
+
+
+def power_mean(x, alpha: float, weights=1.0) -> float:
+    """(sum_x w |x|^alpha)^(1/alpha) for nonnegative weights w, and max |x|
+    at alpha = inf.
+
+    The root of the plain sum (sqrt at alpha = 2) is returned whenever
+    that sum is a normal float.  A sum that underflows to 0 or a subnormal,
+    or overflows, is recomputed as s (sum_x w (|x|/s)^alpha)^(1/alpha)
+    with s = max |x|, so the result is right across alpha in [1, inf];
+    it is inf only where the mean itself exceeds the float range.
+    """
+    if not np.size(x):
+        return 0.0
+    if math.isinf(alpha):
+        return float(np.max(np.abs(x)))
+    with np.errstate(over="ignore"):
+        total = power_sum(x, alpha, weights)
+        if _TINY <= total < math.inf:
+            return float(np.sqrt(total) if alpha == 2
+                         else total ** (1.0 / alpha))
+        ax = np.abs(x)
+        s = np.max(ax)
+        if s == 0:
+            return 0.0
+        return float(s * power_sum(ax / s, alpha, weights) ** (1.0 / alpha))
 
 
 def schatten_norm(a, alpha: float) -> float:
@@ -178,35 +211,22 @@ def schatten_norm(a, alpha: float) -> float:
 
     alpha = +inf returns the largest singular value.  Hermitian inputs
     take the cheaper eigvalsh path; the singular values are then the
-    absolute eigenvalues.  A sum that overflows is recomputed on the
-    singular values scaled by the largest; a norm that still exceeds the
-    float range raises NumericalConsistencyError.
+    absolute eigenvalues.  The sum is power_mean's, so it neither
+    underflows nor overflows; a norm that exceeds the float range raises
+    NumericalConsistencyError.
     """
     require_alpha(alpha)
     a = as_matrix(a)
-    if a.size == 0:
-        return 0.0
     if not hermiticity_violation(a):
-        sv = np.abs(np.linalg.eigvalsh(hermitian_part(a)))
+        sv = np.linalg.eigvalsh(hermitian_part(a))
     else:
         sv = np.linalg.svd(a, compute_uv=False)
-    if np.isinf(alpha):
-        return float(np.max(sv))
-    with np.errstate(over="ignore"):
-        if alpha == 1:
-            norm = np.sum(sv)
-        elif alpha == 2:
-            norm = np.sqrt(np.sum(sv * sv))
-        else:
-            norm = np.sum(sv ** alpha) ** (1.0 / alpha)
-        if not np.isfinite(norm):
-            s = np.max(sv)
-            norm = s * np.sum((sv / s) ** alpha) ** (1.0 / alpha)
-    if not np.isfinite(norm):
+    norm = power_mean(sv, alpha)
+    if math.isinf(norm):
         raise NumericalConsistencyError(
             f"the Schatten {alpha:g}-norm exceeds the float range"
         )
-    return float(norm)
+    return norm
 
 
 def jordan_hahn(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -228,32 +248,6 @@ def jordan_hahn(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     e_plus = vp @ vp.conj().T
     e_minus = vn @ vn.conj().T
     return x_plus, x_minus, e_plus, e_minus
-
-
-def spectral_projectors(a, cluster_tol: float | None = None):
-    """Distinct eigenvalues of a Hermitian operator and their projectors.
-
-    Eigenvalues closer than cluster_tol are merged into one cluster; the
-    returned projectors are basis-independent within clusters.  Returns
-    (values, projectors) with values ascending.
-    """
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    if cluster_tol is None:
-        cluster_tol = zero_tol(w)
-    values = []
-    projectors = []
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] <= cluster_tol:
-            j += 1
-        block = v[:, i:j]
-        values.append(float(np.mean(w[i:j])))
-        projectors.append(block @ block.conj().T)
-        i = j
-    return np.asarray(values), projectors
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -376,8 +370,3 @@ class Superoperator:
         sms = self.matrix.reshape(d, d, d, d).transpose(1, 0, 3, 2)
         sms = sms.reshape(d * d, d * d)
         return float(np.max(np.abs(self.matrix.conj() - sms)))
-
-
-def commutator_map(h) -> Superoperator:
-    """Superoperator for rho -> -i[H, rho]."""
-    return Superoperator.from_hamiltonian(h)

@@ -23,10 +23,10 @@ from .classical import ParametricDist, as_prob
 from .errors import (DegenerateInputError, InvalidInputError,
                      NumericalConsistencyError)
 from .matcore import (P_FLOOR, Superoperator, as_matrix, hermiticity_defect,
-                      hermitian_part, positivity_violation, require_alpha,
-                      require_density, require_finite_alpha, require_h_gamma,
-                      require_hermitian, require_state, schatten_norm, vec,
-                      zero_tol)
+                      hermitian_part, positivity_violation, power_mean,
+                      power_sum, require_alpha, require_density,
+                      require_finite_alpha, require_h_gamma, require_hermitian,
+                      require_state, schatten_norm, vec, zero_tol)
 
 COMPLETENESS_TOL = 1e-9
 
@@ -280,6 +280,8 @@ class ParametricFamily:
 
     def state_at(self, theta: float) -> np.ndarray:
         theta = float(theta)
+        if not math.isfinite(theta):
+            raise InvalidInputError(f"theta must be finite, got {theta}")
         if self.kind == "unitary":
             u = (self._hv * np.exp(-1j * self._hw * theta)) @ self._hv.conj().T
             return u @ self.rho0 @ u.conj().T
@@ -591,11 +593,12 @@ def pure_two_projector_povm(psi, h) -> POVM:
 def nonhermitian_pure_speed(psi, h, gamma, alpha: float = 1.0) -> float:
     """Closed-form Schatten speed of a pure state under H_eff = H - i Gamma.
 
-    Returns SF_alpha = ((v+g)^alpha + (v-g)^alpha)^(1/alpha) with
+    Returns SF_alpha = (|v+g|^alpha + |v-g|^alpha)^(1/alpha), the Schatten
+    norm of drho's two eigenvalues -g +- v, with
     v = sqrt(<H_eff^dag H_eff> - <H>^2) and g = <Gamma>; alpha = 1 is the
-    trace speed F_1 = 2v.  The quantum speed carries the extra factor
-    2^(-1/alpha).  With Gamma = 0 this reduces to F_1 = 2 DeltaH and
-    speed DeltaH for every alpha.
+    trace speed F_1 = 2v, and alpha = inf gives v + |g|.  The quantum speed
+    carries the extra factor 2^(-1/alpha).  With Gamma = 0 this reduces to
+    F_1 = 2 DeltaH and speed DeltaH for every alpha.
     """
     require_alpha(alpha)
     psi = require_state(psi)
@@ -614,17 +617,11 @@ def nonhermitian_pure_speed(psi, h, gamma, alpha: float = 1.0) -> float:
             f"negative radicand {radicand:.3e} in pure-state speed"
         )
     v = float(np.sqrt(max(radicand, 0.0)))
-    lo = v - g
-    if lo < 0:
-        # |g| <= v holds exactly; tolerate roundoff only
-        if lo < -1e-10 * max(v, 1.0):
-            raise NumericalConsistencyError(
-                f"speed eigenvalue {lo:.3e} below zero"
-            )
-        lo = 0.0
-    if np.isinf(alpha):
-        return v + g
-    return float(((v + g) ** alpha + lo ** alpha) ** (1.0 / alpha))
+    if v - abs(g) < -1e-10 * max(v, 1.0):  # |g| <= v holds exactly
+        raise NumericalConsistencyError(
+            f"speed eigenvalue {v - abs(g):.3e} below zero"
+        )
+    return power_mean(np.array([v + g, v - g]), alpha)
 
 
 def thermal_gen_fisher(h, beta: float, alpha: float = 2.0) -> float:
@@ -634,7 +631,7 @@ def thermal_gen_fisher(h, beta: float, alpha: float = 2.0) -> float:
     fam = ParametricFamily.thermal(h)
     p = fam._boltzmann(float(beta))
     mean = float(np.sum(p * fam._hw))
-    return float(np.sum(p * np.abs(fam._hw - mean) ** alpha))
+    return float(power_sum(fam._hw - mean, alpha, p))
 
 
 def weak_value_fisher(psi, h, povm: POVM, alpha: float = 2.0) -> float:
@@ -648,7 +645,7 @@ def weak_value_fisher(psi, h, povm: POVM, alpha: float = 2.0) -> float:
     require_finite_alpha(alpha, "f_alpha")
     psi = require_state(psi)
     h = require_hermitian(h, "H")
-    total = 0.0
+    weights, im = [], []
     for k, e in enumerate(povm):
         if float(np.max(np.abs(e @ e - e))) > 1e-8:
             raise InvalidInputError(
@@ -661,5 +658,6 @@ def weak_value_fisher(psi, h, povm: POVM, alpha: float = 2.0) -> float:
         # v = E|psi>/sqrt(p) is the relevant unit vector in range(E);
         # for rank-1 E it is the measured basis vector itself
         amp = np.vdot(psi, e @ (h @ psi)) / p
-        total += p * abs(amp.imag) ** alpha
-    return float(2.0 ** alpha * total)
+        weights.append(p)
+        im.append(amp.imag)
+    return float(2.0 ** alpha * power_sum(im, alpha, np.array(weights)))

@@ -248,7 +248,8 @@ def test_criterion_06():
     # reference numbers: separable cap N, Heisenberg cap N^2, GHZ speeds,
     # sqrt(N) one-entangled-qubit cap, and the thermal qubit pair.
     for n in (2, 3, 4):
-        local = [matcore.commutator_map(SZ / 2) for _ in range(n)]
+        local = [matcore.Superoperator.from_hamiltonian(SZ / 2)
+                 for _ in range(n)]
         assert bounds.local_generator_sep_bound(local) == pytest.approx(
             float(n), abs=1e-9)
         assert bounds.heisenberg_limit(jz(n)).f2_max == pytest.approx(

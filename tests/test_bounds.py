@@ -2,6 +2,7 @@
 spin squeezing, curve length, and the entanglement witness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_bhatia_davis_tightens_heisenberg(seed):
 
 
 def test_superop_norm_commutator_equals_gap():
-    op = matcore.commutator_map(np.diag([0.0, 1.0]))
+    op = matcore.Superoperator.from_hamiltonian(np.diag([0.0, 1.0]))
     res = bounds.superop_norm(op, 1.0, restarts=8, seed=0)
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -131,7 +132,7 @@ def test_superop_norm_commutator_equals_gap():
 
 def test_superop_norm_commutator_alpha_two():
     # || -i[H, psi psi^dag] ||_2 = sqrt(2) Delta_psi H, maximized at gap/2
-    op = matcore.commutator_map(np.diag([0.0, 1.0]))
+    op = matcore.Superoperator.from_hamiltonian(np.diag([0.0, 1.0]))
     res = bounds.superop_norm(op, 2.0, restarts=8, seed=0)
     assert res.value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
 
@@ -141,13 +142,13 @@ def test_superop_norm_random_hamiltonian_gap(seed):
     rng = generator(402, seed)
     h = random_hermitian(rng, 3)
     w = np.linalg.eigvalsh(h)
-    res = bounds.superop_norm(matcore.commutator_map(h), 1.0,
+    res = bounds.superop_norm(matcore.Superoperator.from_hamiltonian(h), 1.0,
                               restarts=12, seed=seed)
     assert res.value == pytest.approx(float(w[-1] - w[0]), abs=1e-6)
 
 
 def test_superop_norm_deterministic():
-    op = matcore.commutator_map(np.diag([0.0, 0.3, 1.0]))
+    op = matcore.Superoperator.from_hamiltonian(np.diag([0.0, 0.3, 1.0]))
     a = bounds.superop_norm(op, 1.0, restarts=6, seed=5)
     b = bounds.superop_norm(op, 1.0, restarts=6, seed=5)
     assert a.value == b.value
@@ -160,6 +161,15 @@ def test_superop_norm_rejects_non_hermiticity_preserving():
     op = matcore.Superoperator.from_matrix(mat)
     with pytest.raises(InvalidInputError):
         bounds.superop_norm(op, 1.0, restarts=2, seed=0)
+
+
+def test_superop_norm_of_a_huge_generator_warns_nothing():
+    # the Frobenius scale and the gradient norms overflowed before
+    op = matcore.Superoperator.from_hamiltonian(np.diag([5e307, -5e307]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bounds.superop_norm(op, 1.0, restarts=4, seed=0)
+    assert res.value == pytest.approx(1e308, rel=1e-9)
 
 
 # -- non-Hermitian speed caps -----------------------------------------
@@ -334,7 +344,8 @@ def test_asep_bound_bell_pair():
 
 def test_local_generator_sep_bound_hamiltonian_kind():
     for n in (2, 3, 4):
-        maps = [matcore.commutator_map(SZ / 2) for _ in range(n)]
+        maps = [matcore.Superoperator.from_hamiltonian(SZ / 2)
+                for _ in range(n)]
         assert bounds.local_generator_sep_bound(maps) == pytest.approx(
             float(n), abs=1e-9)
 
@@ -343,7 +354,7 @@ def test_local_generator_sep_bound_matches_exact_for_matrix_kind():
     # the same commutator generator submitted as a bare matrix goes
     # through the optimizer and must land on the same value
     h2 = SZ / 2
-    exact_map = matcore.commutator_map(h2)
+    exact_map = matcore.Superoperator.from_hamiltonian(h2)
     blind = matcore.Superoperator.from_matrix(exact_map.matrix)
     exact = bounds.local_generator_sep_bound([exact_map, exact_map])
     found = bounds.local_generator_sep_bound([blind, blind], seed=1,

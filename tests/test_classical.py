@@ -1,7 +1,11 @@
 """Classical distance, Fisher-information, and speed tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspeed import classical
 from qspeed.classical import ParametricDist
@@ -235,6 +239,76 @@ def test_speed_matches_distance_derivative(theta):
             if prev is not None:
                 assert err <= prev + 1e-12  # refining h improves the match
             prev = err
+
+
+# -- large alpha: power sums below the float range --------------------
+
+SKEW = ParametricDist([0.6, 0.4], [0.1, -0.1])
+
+
+def _log_domain_dist_alpha(p, q, alpha):
+    """d_alpha by an independent route: p^(1/a) - q^(1/a) as
+    q^(1/a) expm1(ln(p/q)/a), which does not cancel, and the mean taken
+    on logarithms."""
+    logs = [alpha * math.log(abs(qi ** (1 / alpha)
+                                 * math.expm1(math.log(pi / qi) / alpha)))
+            for pi, qi in zip(p, q)]
+    top = max(logs)
+    mean = 0.5 * sum(math.exp(v - top) for v in logs)
+    return math.exp((top + math.log(mean)) / alpha)
+
+
+@pytest.mark.parametrize("alpha", [50.0, 200.0, 1000.0])
+def test_dist_alpha_does_not_underflow(alpha):
+    p, q = [0.6, 0.4], [0.5, 0.5]
+    want = _log_domain_dist_alpha(p, q, alpha)
+    assert classical.dist_alpha(p, q, alpha) == pytest.approx(want, rel=1e-9)
+
+
+def test_power_sums_keep_their_value_at_large_alpha():
+    assert classical.dist_schatten_alpha([0.6, 0.4], [0.5, 0.5], 1000) == \
+        pytest.approx(0.1, rel=1e-12)
+    assert classical.schatten_fisher(SKEW, 400) == \
+        pytest.approx(0.1 * 2 ** (1 / 400), rel=1e-12)
+    assert classical.classical_speed(SKEW, 500, "schatten") == \
+        pytest.approx(0.1, rel=1e-12)
+    # (f_alpha / 2)^(1/alpha) = (0.6 (1/6)^a + 0.4 (1/4)^a)^(1/a) / 2^(1/a),
+    # taken of the sum: f_1000 itself rounds to 0
+    assert classical.gen_fisher(SKEW, 1000) == 0.0
+    want = 0.25 * (0.2 + 0.3 * (2 / 3) ** 1000) ** (1 / 1000) / 1000
+    assert classical.classical_speed(SKEW, 1000, "power") == \
+        pytest.approx(want, rel=1e-12)
+
+
+def test_barankin_bound_near_beta_one_is_finite():
+    # alpha = 1001: 1/f_alpha^(1/alpha) = 4 (0.4 + 0.6 (2/3)^alpha)^(-1/alpha)
+    beta = 1.001
+    alpha = beta / (beta - 1.0)
+    want = 4.0 * (0.4 + 0.6 * (2 / 3) ** alpha) ** (-1 / alpha)
+    assert classical.barankin_bound(SKEW, beta) == pytest.approx(want,
+                                                                 rel=1e-12)
+
+
+_weights = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6)
+
+
+@given(alpha=st.floats(1.0, 1e300), a=_weights, b=_weights,
+       tilt=st.sampled_from([1.0, 1e-3, 1e-9]))
+@settings(max_examples=200)
+def test_dist_schatten_alpha_between_max_and_root_n_times_max(
+        alpha, a, b, tilt):
+    n = min(len(a), len(b))
+    a, b = np.asarray(a[:n]) + 1e-3, np.asarray(b[:n]) + 1e-3
+    p = a / a.sum()
+    q = (1 - tilt) * p + tilt * b / b.sum()  # tilt sets the size of p - q
+    p, q = classical.as_prob(p), classical.as_prob(q / q.sum())
+    top = float(np.max(np.abs(p - q)))
+    sd = classical.dist_schatten_alpha(p, q, alpha)
+    slack = 1e-12 * top
+    assert 2 ** (-1 / alpha) * top - slack <= sd
+    assert sd <= (n / 2) ** (1 / alpha) * top + slack
+    assert abs(classical.dist_schatten_alpha(p, q, 1e300) - top) <= \
+        1e-12 * top
 
 
 # -- estimation-side bounds -------------------------------------------

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,26 @@ def test_speed_povm_flag(tmp_path, capsys):
     assert np.allclose(total, np.eye(2), atol=1e-9)
 
 
+def test_speed_at_large_alpha_is_not_zero(tmp_path, capsys):
+    # drho has eigenvalues +-1/2: SF_alpha = 2^(1/alpha)/2, SS_alpha = 1/2
+    fam = write(tmp_path, "fam.json", PLUS_FAMILY)
+    report = run_json(capsys, ["speed", "--family", fam, "--theta", "0.3",
+                               "--alpha", "1100"])
+    # reports carry 12 significant digits
+    assert report["SFalpha"] == pytest.approx(0.5 * 2 ** (1 / 1100),
+                                              rel=1e-11)
+    assert report["SSalpha"] == pytest.approx(0.5, rel=1e-11)
+
+
+@pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+def test_speed_rejects_a_non_finite_theta(tmp_path, capsys, theta):
+    fam = write(tmp_path, "fam.json", PLUS_FAMILY)
+    code, out, err = run(capsys, ["speed", "--family", fam,
+                                  f"--theta={theta}"])
+    assert (code, out) == (2, "")
+    assert err == f"qspeed: error: theta must be finite, got {theta}\n"
+
+
 # -- distance ---------------------------------------------------------
 
 
@@ -134,6 +155,24 @@ def test_distance_probs_at_alpha_inf(tmp_path, capsys):
     assert report["D1"] == 0.5
 
 
+def test_distances_at_large_alpha_are_not_zero(tmp_path, capsys):
+    rho = write(tmp_path, "rho.json", matrix_json([[0.7, 0.1], [0.1, 0.3]]))
+    mixed = write(tmp_path, "mixed.json", matrix_json(np.eye(2) / 2))
+    report = run_json(capsys, ["distance", rho, mixed, "--alpha", "1100"])
+    # rho - I/2 has eigenvalues +-sqrt(0.05), so SD_alpha = sqrt(0.05)
+    assert report["SDalpha"] == pytest.approx(math.sqrt(0.05), rel=1e-11)
+    p = write(tmp_path, "p.json", {"weights": [0.6, 0.4]})
+    q = write(tmp_path, "q.json", {"weights": [0.5, 0.5]})
+    report = run_json(capsys, ["distance", p, q, "--alpha", "200"])
+    # (1/2 sum |p^(1/200) - q^(1/200)|^200)^(1/200), computed in logs
+    diff = [math.expm1(math.log(x / 0.5) / 200) * 0.5 ** (1 / 200)
+            for x in (0.6, 0.4)]
+    top = max(abs(d) for d in diff)
+    want = top * (0.5 * sum((abs(d) / top) ** 200 for d in diff)) ** (1 / 200)
+    assert report["Dalpha"] == pytest.approx(want, rel=1e-9)
+    assert report["Dalpha"] == pytest.approx(1.107e-3, rel=1e-3)
+
+
 def test_distance_mixed_inputs(tmp_path, capsys):
     a = write(tmp_path, "p.json", {"weights": [0.5, 0.5]})
     b = write(tmp_path, "b.json", Z0)
@@ -152,6 +191,15 @@ def test_witness_flags_bell(tmp_path, capsys):
     assert report["verdict"] == "entangled"
     assert report["speed"] == pytest.approx(2.0, abs=1e-9)
     assert report["bound"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+def test_witness_sees_bell_at_large_alpha(tmp_path, capsys):
+    # SF_alpha = 2^(1/alpha) against the cap 2^(1/alpha) sqrt(2) / 2
+    fam = write(tmp_path, "bell.json", BELL_FAMILY)
+    report = run_json(capsys, ["witness", "--family", fam, "--kind", "ksep",
+                               "--alpha", "2000"])
+    assert report["speed"] == pytest.approx(2 ** (1 / 2000), rel=1e-11)
+    assert report["verdict"] == "entangled"
 
 
 def test_witness_asep_partition(tmp_path, capsys):
@@ -391,6 +439,14 @@ def test_estimate_median_mode(capsys):
     assert report["mode"] == "median"
     assert report["bound"] == pytest.approx(1.0)
     assert isinstance(report["satisfied"], bool)
+
+
+@pytest.mark.parametrize("model", ["gaussian", "cauchy", "laplace"])
+def test_estimate_rejects_a_subnormal_square_scale(capsys, model):
+    code, out, err = run(capsys, ["estimate", "--model", model,
+                                  "--scale", "1e-320"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "normal float square" in err
 
 
 def test_estimate_requires_model_or_pair(capsys):
@@ -635,17 +691,64 @@ def golden_family(kind, dim):
         {"theta": t, "state": matrix_json(orbit.state_at(t))} for t in grid]}
 
 
+def _golden_family_file(kind, dim):
+    return {"family.json": golden_family(kind, dim)}
+
+
+def _golden_register():
+    """A seeded two-qubit unitary family, generated by a sum of local
+    terms, and the partition of those terms (the ksep and asep goldens)."""
+    def local(index):
+        return oracle.random_instance("hermitian", 2, 19, index)
+
+    h1 = np.kron(local(0), np.eye(2))
+    h2 = np.kron(np.eye(2), local(1))
+    fam = {"kind": "unitary", "hamiltonian": matrix_json(h1 + h2),
+           "state": matrix_json(oracle.random_instance("density", 4, 19, 2))}
+    part = {"blocks": [[0], [1]],
+            "hamiltonians": [matrix_json(h1), matrix_json(h2)]}
+    return {"family.json": fam, "partition.json": part}
+
+
+def _golden_pair(kind):
+    """Two seeded qutrit states, or the diagonals of two seeded qutrit
+    states as distributions (the distance goldens)."""
+    rho, sigma = (oracle.random_instance("density", 3, 23, i) for i in (0, 1))
+    if kind == "states":
+        return {"a.json": matrix_json(rho), "b.json": matrix_json(sigma)}
+    return {"a.json": {"weights": np.diag(rho).real.tolist()},
+            "b.json": {"weights": np.diag(sigma).real.tolist()}}
+
+
 def _golden_cases():
-    speed = ["speed", "--theta", "0.37", "--povm"]
+    """Case name -> (input builder, argv); argv names the inputs by file
+    name."""
+    speed = ["speed", "--theta", "0.37", "--family", "family.json", "--povm"]
     cases = {}
     for kind in GOLDEN_KINDS:
         for dim in (2, 3):
-            cases[f"speed-{kind}-d{dim}-qfi"] = (kind, dim, speed + ["qfi"])
+            fam = partial(_golden_family_file, kind, dim)
+            cases[f"speed-{kind}-d{dim}-qfi"] = (fam, speed + ["qfi"])
             cases[f"speed-{kind}-d{dim}-trace_speed"] = (
-                kind, dim, speed + ["trace_speed", "--alpha", "3"])
-    cases["oracle-unitary-d2"] = ("unitary", 2, [
-        "oracle", "--objective", "f_alpha", "--alpha", "2", "--theta", "0.37",
-        "--restarts", "8", "--seed", "3", "--povm"])
+                fam, speed + ["trace_speed", "--alpha", "3"])
+    cases["oracle-unitary-d2"] = (
+        partial(_golden_family_file, "unitary", 2),
+        ["oracle", "--objective", "f_alpha", "--alpha", "2", "--theta",
+         "0.37", "--restarts", "8", "--seed", "3", "--povm", "--family",
+         "family.json"])
+    for alpha in ("1", "1.5", "2", "3", "inf"):
+        for kind in ("states", "dists"):
+            cases[f"distance-{kind}-alpha{alpha}"] = (
+                partial(_golden_pair, kind),
+                ["distance", "a.json", "b.json", "--alpha", alpha])
+    for alpha in ("1", "2", "3", "inf"):
+        witness = ["witness", "--family", "family.json", "--theta", "0.37",
+                   "--alpha", alpha]
+        cases[f"witness-ksep-alpha{alpha}"] = (
+            _golden_register, witness + ["--kind", "ksep"])
+        cases[f"witness-asep-alpha{alpha}"] = (
+            _golden_register,
+            witness + ["--kind", "asep", "--partition", "partition.json"])
     return cases
 
 
@@ -656,8 +759,9 @@ GOLDEN_CASES = _golden_cases()
 def test_report_matches_golden(case, tmp_path, capsys):
     # stdout must stay byte-identical for fixed inputs and seeds; each
     # golden file holds the report printed when the case was recorded
-    kind, dim, argv = GOLDEN_CASES[case]
-    fam = write(tmp_path, "family.json", golden_family(kind, dim))
-    code, out, err = run(capsys, argv + ["--family", fam])
+    build, argv = GOLDEN_CASES[case]
+    inputs = {name: write(tmp_path, name, obj)
+              for name, obj in build().items()}
+    code, out, err = run(capsys, [inputs.get(a, a) for a in argv])
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")

@@ -82,6 +82,14 @@ def test_model_factories_reject_bad_scale():
             factory(-1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-320, 1e-160, 1e160, 1e300, math.nan])
+def test_model_factories_reject_a_scale_whose_square_is_not_normal(scale):
+    # the densities divide by the square; reject it before any numpy step
+    for factory in (gaussian_location, cauchy_location, laplace_location):
+        with pytest.raises(InvalidInputError, match="normal float square"):
+            factory(scale)
+
+
 def test_model_scale_dependence():
     assert gaussian_location(2.0).f2(0.0) == pytest.approx(0.25)
     assert cauchy_location(2.0).f1(0.0) == pytest.approx(1.0 / math.pi)

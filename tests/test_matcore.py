@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspeed import matcore
 from qspeed.errors import InvalidInputError
@@ -148,6 +150,75 @@ def test_schatten_norm_triangle_and_unitary_invariance(seed):
             pytest.approx(na, rel=1e-10, abs=1e-12)
 
 
+# -- power_mean -------------------------------------------------------
+
+
+def _plain_mean(x, alpha, w=1.0):
+    """The formula as the callers wrote it before power_mean existed."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    total = w * np.sum(ax ** alpha) if np.ndim(w) == 0 \
+        else np.sum(w * ax ** alpha)
+    return float(np.sqrt(total) if alpha == 2 else total ** (1.0 / alpha))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_power_mean_keeps_the_plain_formula_bit_for_bit(seed):
+    # wherever the plain sum is a normal float, the kernel is the formula
+    rng = generator(110, seed)
+    x = rng.normal(size=1 + seed) * 10.0 ** rng.integers(-5, 6)
+    p = rng.random(x.size)
+    for alpha in (1.0, 1.5, 2.0, 3.0, 7.25):
+        for w in (1.0, 0.5, p / 2):
+            assert matcore.power_mean(x, alpha, w) == _plain_mean(x, alpha, w)
+    assert matcore.power_mean(x, math.inf) == float(np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("x, alpha, want", [
+    ([0.5, -0.1], 1100, 0.5 * (1 + 0.2 ** 1100) ** (1 / 1100)),
+    ([0.5, -0.1], 1e308, 0.5),
+    ([1e-200, -1e-200], 2, math.sqrt(2.0) * 1e-200),
+    ([3e-160, 4e-160], 2, 5e-160),       # subnormal sum
+    ([3e200, 4e200], 2, 5e200),           # overflowing sum
+    ([0.0, 0.0], 3, 0.0),
+    ([], 3, 0.0),
+])
+def test_power_mean_rescales_a_sum_outside_the_normal_range(x, alpha, want):
+    assert matcore.power_mean(x, alpha) == pytest.approx(want, rel=1e-14)
+
+
+def test_power_mean_is_inf_only_beyond_the_float_range():
+    assert matcore.power_mean([1e308, 1e308], 1) == math.inf
+    assert matcore.power_mean([1e308, 1e308], 2) == math.sqrt(2.0) * 1e308
+
+
+@pytest.mark.parametrize("alpha", [1100, 2000, 1e308])
+def test_schatten_norm_does_not_underflow_at_large_alpha(alpha):
+    got = matcore.schatten_norm(np.diag([0.5, -0.1]), alpha)
+    assert got == pytest.approx(0.5, rel=1e-12)
+
+
+_alphas = st.floats(1.0, 1e300)
+
+
+@given(alpha=_alphas, dim=st.integers(1, 4), hermitian=st.booleans(),
+       scale=st.sampled_from([1e-300, 1e-100, 1e-3, 1.0, 1e100, 1e300]),
+       entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+@settings(max_examples=200)
+def test_schatten_norm_between_max_and_root_d_times_max(
+        alpha, dim, hermitian, scale, entries):
+    e = np.asarray(entries)
+    a = scale * (e[:dim * dim] + 1j * e[16:16 + dim * dim]).reshape(dim, dim)
+    if hermitian:
+        a = matcore.hermitian_part(a)
+    # max sigma as schatten_norm sees it: a matrix within HERM_TOL of
+    # Hermitian is measured by its Hermitian part
+    top = matcore.schatten_norm(a, math.inf)
+    sf = matcore.schatten_norm(a, alpha)
+    slack = 1e-12 * top
+    assert top - slack <= sf <= dim ** (1.0 / alpha) * top + slack
+    assert abs(matcore.schatten_norm(a, 1e300) - top) <= 1e-12 * top
+
+
 # -- jordan_hahn ------------------------------------------------------
 
 
@@ -194,14 +265,14 @@ def test_jordan_hahn_reconstruction(seed):
 def test_commutator_map_identity_commutes():
     rng = generator(103)
     h = random_hermitian(rng, 3)
-    op = matcore.commutator_map(h)
+    op = matcore.Superoperator.from_hamiltonian(h)
     assert np.linalg.norm(op.apply(np.eye(3) / 3)) <= 1e-12
 
 
 def test_commutator_map_matches_direct_commutator():
     h = SZ / 2
     plus = np.full((2, 2), 0.5, dtype=complex)
-    op = matcore.commutator_map(h)
+    op = matcore.Superoperator.from_hamiltonian(h)
     direct = -1j * matcore.commutator(h, plus)
     assert np.linalg.norm(op.apply(plus) - direct) <= 1e-12
     assert abs(np.trace(op.apply(plus))) <= 1e-12
@@ -212,7 +283,7 @@ def test_commutator_map_random_operands(seed):
     rng = generator(104, seed)
     dim = 2 + seed % 3
     h = random_hermitian(rng, dim)
-    op = matcore.commutator_map(h)
+    op = matcore.Superoperator.from_hamiltonian(h)
     x = random_matrix(rng, dim)
     direct = -1j * matcore.commutator(h, x)
     assert np.linalg.norm(op.apply(x) - direct) <= 1e-12 * max(
@@ -224,7 +295,7 @@ def test_superoperator_preserves_hermiticity():
     rng = generator(105)
     h = random_hermitian(rng, 3)
     gamma = random_hermitian(rng, 3)
-    for op in (matcore.commutator_map(h),
+    for op in (matcore.Superoperator.from_hamiltonian(h),
                matcore.Superoperator.from_non_hermitian(h, gamma)):
         assert op.hermiticity_preservation_defect() <= 1e-10
         assert op.hermiticity_preservation_defect() == 0.0  # exact test
@@ -261,9 +332,7 @@ def test_superoperator_from_matrix_rejects_bad_side():
         matcore.Superoperator.from_matrix(np.eye(3))
 
 
-def test_matrix_abs_and_herm_fun():
-    a = np.diag([2.0, -3.0])
-    assert np.allclose(matcore.matrix_abs(a), np.diag([2.0, 3.0]))
+def test_herm_fun():
     sq = matcore.herm_fun(np.diag([4.0, 9.0]), np.sqrt)
     assert np.allclose(sq, np.diag([2.0, 3.0]))
 
@@ -275,14 +344,6 @@ def test_require_density_validates():
         matcore.require_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     rho = matcore.require_density(np.diag([0.75, 0.25]))
     assert rho.shape == (2, 2)
-
-
-def test_spectral_projectors_cluster_degenerate():
-    values, projs = matcore.spectral_projectors(np.diag([1.0, 1.0, 2.0]))
-    assert len(values) == 2
-    assert np.allclose(values, [1.0, 2.0])
-    assert float(np.trace(projs[0]).real) == pytest.approx(2.0)
-    assert float(np.trace(projs[1]).real) == pytest.approx(1.0)
 
 
 # -- one alpha domain across the package ------------------------------
@@ -328,7 +389,8 @@ def _alpha_takers():
         ("weak_value_fisher", lambda a: quantum.weak_value_fisher(
             psi, h, quantum.basis_povm(2), a), False),
         ("superop_norm", lambda a: bounds.superop_norm(
-            matcore.commutator_map(h), a, restarts=1).value, True),
+            matcore.Superoperator.from_hamiltonian(h), a,
+            restarts=1).value, True),
         ("ksep_bound", lambda a: bounds.ksep_bound(2, 1, a), True),
         ("asep_bound", lambda a: bounds.asep_bound(np.eye(4) / 4, part, a),
          True),

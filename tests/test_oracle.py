@@ -364,7 +364,7 @@ def test_search_blocks_bound_the_batch(monkeypatch):
 _entry = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(h=st.tuples(_entry, _entry, _entry, _entry),
        bloch=st.tuples(_entry, _entry, _entry))
 def test_search_never_exceeds_closed_forms_property(h, bloch):

@@ -742,7 +742,40 @@ def test_nonhermitian_matches_family_trace_speed(seed):
     assert quantum.trace_speed(fam, 0.0) == pytest.approx(closed, abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 1100.0, np.inf])
+def test_nonhermitian_closed_form_with_negative_mean_gamma(alpha):
+    # drho has eigenvalues -g +- v, so alpha = inf gives v + |g|, which is
+    # v - g here: <Gamma> < 0
+    psi = np.array([1.0, 1.0j, 0.5]) / 1.5
+    h = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.4]])
+    gamma = np.diag([-0.3, 0.1, 0.2])
+    assert float(np.vdot(psi, gamma @ psi).real) < 0
+    closed = quantum.nonhermitian_pure_speed(psi, h, gamma, alpha)
+    fam = ParametricFamily.non_hermitian(h, gamma, psi)
+    assert closed == pytest.approx(quantum.schatten_speed(fam, 0.0, alpha),
+                                   rel=1e-12)
+
+
 # -- thermal families -------------------------------------------------
+
+
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_every_kind_rejects_a_non_finite_theta(theta):
+    h = np.diag([0.5, -0.5])
+    plus = np.full((2, 2), 0.5)
+    orbit = ParametricFamily.unitary(h, plus)
+    families = [
+        orbit,
+        ParametricFamily.non_hermitian(h, 0.1 * np.eye(2), plus),
+        ParametricFamily.lindblad(matcore.Superoperator.from_hamiltonian(h),
+                                  plus),
+        ParametricFamily.thermal(h),
+        ParametricFamily.table([(t, orbit.state_at(t)) for t in (0, 1, 2)]),
+    ]
+    for fam in families:
+        for evaluate in (fam.state_at, fam.at):
+            with pytest.raises(InvalidInputError, match="theta must be finite"):
+                evaluate(theta)
 
 
 def test_thermal_gen_fisher_qubit():
@@ -844,7 +877,8 @@ def test_lindblad_family_matches_unitary():
     h = random_hermitian(rng, 3)
     rho0 = random_density(rng, 3)
     fam_u = ParametricFamily.unitary(h, rho0)
-    fam_l = ParametricFamily.lindblad(matcore.commutator_map(h), rho0)
+    fam_l = ParametricFamily.lindblad(
+        matcore.Superoperator.from_hamiltonian(h), rho0)
     for theta in (0.0, 0.4):
         assert np.allclose(fam_l.state_at(theta), fam_u.state_at(theta),
                            atol=1e-9)
