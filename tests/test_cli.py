@@ -45,8 +45,9 @@ BELL_PARTITION = {
 
 
 def write(tmp_path, name, obj):
+    # a str is written as is: the raw text of a malformed file
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
 
 
@@ -707,7 +708,26 @@ def _golden_register():
            "state": matrix_json(oracle.random_instance("density", 4, 19, 2))}
     part = {"blocks": [[0], [1]],
             "hamiltonians": [matrix_json(h1), matrix_json(h2)]}
-    return {"family.json": fam, "partition.json": part}
+    return {"family.json": fam, "partition.json": part,
+            "state.json": fam["state"]}
+
+
+def _golden_bound_inputs():
+    """A seeded qutrit Hamiltonian, decay matrix and state, and one local
+    generator of each kind (the bound goldens)."""
+    def inst(name, dim, index):
+        return oracle.random_instance(name, dim, 29, index)
+
+    h2 = matrix_json(inst("hermitian", 2, 3))
+    local = [{"kind": "hamiltonian", "hamiltonian": h2},
+             {"kind": "non_hermitian", "h": h2,
+              "gamma": matrix_json(0.2 * inst("density", 2, 4))},
+             {"kind": "matrix",
+              "matrix": golden_family("lindblad", 2)["superop"]}]
+    return {"h.json": matrix_json(inst("hermitian", 3, 0)),
+            "gamma.json": matrix_json(0.2 * inst("density", 3, 1)),
+            "state.json": matrix_json(inst("density", 3, 2)),
+            "locals.json": local}
 
 
 def _golden_pair(kind):
@@ -749,6 +769,42 @@ def _golden_cases():
         cases[f"witness-asep-alpha{alpha}"] = (
             _golden_register,
             witness + ["--kind", "asep", "--partition", "partition.json"])
+    bound = ["bound", "--hamiltonian", "h.json", "--gamma", "gamma.json",
+             "--state", "state.json", "--kind"]
+    cases["bound-heisenberg"] = (_golden_bound_inputs, bound + ["heisenberg"])
+    cases["bound-bhatia_davis"] = (
+        _golden_bound_inputs, bound + ["bhatia_davis"])
+    cases["bound-nonhermitian"] = (
+        _golden_bound_inputs, bound + ["nonhermitian"])
+    cases["bound-ksep"] = (
+        dict, ["bound", "--kind", "ksep", "--n-qubits", "3", "--k", "2",
+               "--alpha", "1.5"])
+    cases["bound-asep"] = (
+        _golden_register,
+        ["bound", "--kind", "asep", "--state", "state.json", "--partition",
+         "partition.json", "--alpha", "2"])
+    cases["bound-local"] = (
+        _golden_bound_inputs,
+        ["bound", "--kind", "local", "--locals", "locals.json",
+         "--restarts", "4", "--seed", "6"])
+    cases["estimate-cauchy"] = (
+        dict, ["estimate", "--model", "cauchy", "--scale", "0.5", "--m",
+               "21", "--trials", "200", "--seed", "5"])
+    cases["estimate-discrimination"] = (
+        partial(_golden_pair, "states"),
+        ["estimate", "--rho", "a.json", "--sigma", "b.json", "--trials",
+         "500", "--seed", "4"])
+    cases["validate-density"] = (
+        partial(_golden_pair, "states"), ["validate", "a.json"])
+    cases["validate-malformed"] = (
+        lambda: {"a.json": '{"dim": 2, "entries": [['}, ["validate", "a.json"])
+    cases["validate-nonhermitian"] = (
+        lambda: {"a.json": matrix_json([[0.5, 0.1], [0.3, 0.5]])},
+        ["validate", "a.json"])
+    cases["exit2-estimate-without-mode"] = (dict, ["estimate"])
+    cases["exit3-heisenberg-overflow"] = (
+        lambda: {"h.json": matrix_json(np.diag([1e308, -1e308]))},
+        ["bound", "--kind", "heisenberg", "--hamiltonian", "h.json"])
     return cases
 
 
@@ -756,12 +812,20 @@ GOLDEN_CASES = _golden_cases()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-def test_report_matches_golden(case, tmp_path, capsys):
+def test_report_matches_golden(case, tmp_path, capsys, monkeypatch):
     # stdout must stay byte-identical for fixed inputs and seeds; each
-    # golden file holds the report printed when the case was recorded
+    # golden file holds the report printed when the case was recorded.
+    # The inputs are named relative to the working directory, so paths
+    # in reports and errors do not depend on tmp_path.
     build, argv = GOLDEN_CASES[case]
-    inputs = {name: write(tmp_path, name, obj)
-              for name, obj in build().items()}
-    code, out, err = run(capsys, [inputs.get(a, a) for a in argv])
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+    for name, obj in build().items():
+        write(tmp_path, name, obj)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    golden = GOLDEN / f"{case}.json"
+    if golden.exists():
+        assert (code, err) == (0, "")
+    else:  # an exit path: its golden also holds the exit code and stderr
+        golden = GOLDEN / f"{case}.txt"
+        out = f"exit {code}\n{err}{out}"
+    assert out == golden.read_text(encoding="utf-8")
