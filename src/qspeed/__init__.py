@@ -1,167 +1,69 @@
-"""Statistical distances and speeds of parametrized quantum states."""
+"""Statistical distances and speeds of parametrized quantum states.
 
-from .bounds import (
-    CollectiveSpin,
-    HeisenbergLimit,
-    NonHermitianBound,
-    Partition,
-    SuperopNorm,
-    WitnessReport,
-    asep_bound,
-    bhatia_davis_bound,
-    collective_spin,
-    curve_length,
-    heisenberg_limit,
-    ksep_bound,
-    local_generator_sep_bound,
-    nonhermitian_speed_bound,
-    spin_squeezing_xi,
-    superop_norm,
-    witness,
-)
-from .classical import (
-    ParametricDist,
-    barankin_bound,
-    classical_speed,
-    dist_alpha,
-    dist_schatten_alpha,
-    gen_fisher,
-    mixture_dist,
-    moment_lower_bound,
-    product_dist,
-    schatten_fisher,
-    speed_from_samples,
-)
-from .errors import (
-    DegenerateInputError,
-    InvalidInputError,
-    NumericalConsistencyError,
-    QSpeedError,
-)
-from .estimation import (
-    ContinuousModel,
-    CramerRaoReport,
-    EstimationResult,
-    MedianCheck,
-    cauchy_location,
-    cramer_rao_check,
-    discrimination_game,
-    discrimination_povm,
-    discrimination_probability,
-    gaussian_location,
-    laplace_location,
-    median_check,
-    median_dispersion_vs_bound,
-    quantum_median_bound,
-    quantum_median_chain,
-)
-from .matcore import Superoperator, jordan_hahn, schatten_norm
-from .oracle import (
-    SearchConfig,
-    brute_force_max,
-    finite_diff_speed,
-    random_instance,
-    random_instances,
-)
-from .quantum import (
-    POVM,
-    ParametricFamily,
-    bures_distance,
-    fidelity,
-    induced_dist,
-    induced_parametric,
-    nonhermitian_pure_speed,
-    optimal_povm,
-    pure_two_projector_povm,
-    qfi,
-    schatten_distance,
-    schatten_speed,
-    sld,
-    statistical_speed,
-    thermal_family,
-    thermal_gen_fisher,
-    trace_distance,
-    trace_speed,
-    weak_value_fisher,
-)
-from .seeding import generator
+Every public name lives in one of the modules below and is looked up
+there on each access (PEP 562), so ``import qspeed`` loads no submodule
+and a process loads only the modules it uses.  Nothing is cached here:
+``qspeed.X`` is whatever ``qspeed.<module>.X`` holds at that moment.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CollectiveSpin",
-    "ContinuousModel",
-    "CramerRaoReport",
-    "DegenerateInputError",
-    "EstimationResult",
-    "HeisenbergLimit",
-    "InvalidInputError",
-    "MedianCheck",
-    "NonHermitianBound",
-    "NumericalConsistencyError",
-    "POVM",
-    "ParametricDist",
-    "ParametricFamily",
-    "Partition",
-    "QSpeedError",
-    "SearchConfig",
-    "Superoperator",
-    "SuperopNorm",
-    "WitnessReport",
-    "asep_bound",
-    "barankin_bound",
-    "bhatia_davis_bound",
-    "brute_force_max",
-    "bures_distance",
-    "cauchy_location",
-    "classical_speed",
-    "collective_spin",
-    "cramer_rao_check",
-    "curve_length",
-    "discrimination_game",
-    "discrimination_povm",
-    "discrimination_probability",
-    "dist_alpha",
-    "dist_schatten_alpha",
-    "fidelity",
-    "finite_diff_speed",
-    "gaussian_location",
-    "gen_fisher",
-    "generator",
-    "heisenberg_limit",
-    "induced_dist",
-    "induced_parametric",
-    "jordan_hahn",
-    "ksep_bound",
-    "laplace_location",
-    "local_generator_sep_bound",
-    "median_check",
-    "median_dispersion_vs_bound",
-    "mixture_dist",
-    "moment_lower_bound",
-    "nonhermitian_pure_speed",
-    "nonhermitian_speed_bound",
-    "optimal_povm",
-    "product_dist",
-    "pure_two_projector_povm",
-    "qfi",
-    "quantum_median_bound",
-    "quantum_median_chain",
-    "random_instance",
-    "random_instances",
-    "schatten_distance",
-    "schatten_fisher",
-    "schatten_norm",
-    "schatten_speed",
-    "sld",
-    "speed_from_samples",
-    "spin_squeezing_xi",
-    "statistical_speed",
-    "superop_norm",
-    "thermal_family",
-    "thermal_gen_fisher",
-    "trace_distance",
-    "trace_speed",
-    "weak_value_fisher",
-    "witness",
-]
+_EXPORTS = {
+    "bounds": (
+        "CollectiveSpin", "HeisenbergLimit", "NonHermitianBound", "Partition",
+        "SuperopNorm", "WitnessReport", "asep_bound", "bhatia_davis_bound",
+        "collective_spin", "curve_length", "heisenberg_limit", "ksep_bound",
+        "local_generator_sep_bound", "nonhermitian_speed_bound",
+        "spin_squeezing_xi", "superop_norm", "witness",
+    ),
+    "classical": (
+        "ParametricDist", "barankin_bound", "classical_speed", "dist_alpha",
+        "dist_schatten_alpha", "gen_fisher", "mixture_dist",
+        "moment_lower_bound", "product_dist", "schatten_fisher",
+        "speed_from_samples",
+    ),
+    "errors": (
+        "DegenerateInputError", "InvalidInputError",
+        "NumericalConsistencyError", "QSpeedError",
+    ),
+    "estimation": (
+        "ContinuousModel", "CramerRaoReport", "EstimationResult",
+        "MedianCheck", "cauchy_location", "cramer_rao_check",
+        "discrimination_game", "discrimination_povm",
+        "discrimination_probability", "gaussian_location",
+        "laplace_location", "median_check", "median_dispersion_vs_bound",
+        "quantum_median_bound", "quantum_median_chain",
+    ),
+    "matcore": ("Superoperator", "jordan_hahn", "schatten_norm"),
+    "oracle": (
+        "SearchConfig", "brute_force_max", "finite_diff_speed",
+        "random_instance", "random_instances",
+    ),
+    "quantum": (
+        "POVM", "ParametricFamily", "bures_distance", "fidelity",
+        "induced_dist", "induced_parametric", "nonhermitian_pure_speed",
+        "optimal_povm", "pure_two_projector_povm", "qfi",
+        "schatten_distance", "schatten_speed", "sld", "statistical_speed",
+        "thermal_family", "thermal_gen_fisher", "trace_distance",
+        "trace_speed", "weak_value_fisher",
+    ),
+    "seeding": ("generator",),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

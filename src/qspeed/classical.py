@@ -98,16 +98,30 @@ def _check_pair(p: np.ndarray, q: np.ndarray):
         )
 
 
+# Above this order p^(1/alpha) - q^(1/alpha) cancels.  Against mpmath on
+# 101 random pairs at n <= 8, its worst relative error grows as eps*alpha:
+# 8.4e-14 at alpha = 100, 2.1e-12 at 1e3 (the 12th printed digit), 1.7e-3
+# at 1e12.  q^(1/alpha) expm1(ln(p/q)/alpha) stays under 2e-15 throughout.
+_CANCEL_ALPHA = 100.0
+
+
 def dist_alpha(p, q, alpha: float) -> float:
     """d_alpha(p,q) = (1/2 sum_x |p_x^(1/alpha) - q_x^(1/alpha)|^alpha)^(1/alpha).
 
-    Hellinger distance at alpha=2, Kolmogorov distance at alpha=1.
+    Hellinger distance at alpha=2, Kolmogorov distance at alpha=1.  Above
+    alpha = 100 each difference with p_x, q_x > 0 is taken as
+    q_x^(1/alpha) expm1((ln p_x - ln q_x)/alpha), which does not cancel.
     """
     require_finite_alpha(alpha, "d_alpha")
     p = as_prob(p, "p")
     q = as_prob(q, "q")
     _check_pair(p, q)
-    return power_mean(p ** (1.0 / alpha) - q ** (1.0 / alpha), alpha, 0.5)
+    root_q = q ** (1.0 / alpha)
+    x = p ** (1.0 / alpha) - root_q
+    if alpha > _CANCEL_ALPHA:
+        on = (p > 0) & (q > 0)
+        x[on] = root_q[on] * np.expm1((np.log(p[on]) - np.log(q[on])) / alpha)
+    return power_mean(x, alpha, 0.5)
 
 
 def dist_schatten_alpha(p, q, alpha: float) -> float:

@@ -5,7 +5,9 @@ validate.  Reports go to stdout as JSON (default) or key,value CSV with
 12 significant digits; identical inputs and seeds produce byte-identical
 output.  Exit codes: 0 success, 2 invalid input (including malformed
 JSON, reported with line and column), 3 numerical-consistency failure.
-The default seed comes from QSPEED_SEED when set.
+The default seed comes from QSPEED_SEED when set.  bounds, estimation
+and oracle are imported by the handlers that use them, so speed,
+distance and validate never load them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import os
 import sys
 
-from . import bounds, classical, estimation, jsonio, matcore, oracle, quantum
+from . import classical, jsonio, quantum
 from .errors import InvalidInputError, NumericalConsistencyError, QSpeedError
 
 _POVM_TARGETS = ("trace_speed", "qfi", "schatten")
@@ -114,6 +116,8 @@ def _cmd_distance(args):
 
 
 def _cmd_witness(args):
+    from . import bounds
+
     fam = jsonio.load_family(args.family)
     partition = None
     if args.partition is not None:
@@ -134,6 +138,8 @@ def _require_arg(args, name: str, kind: str):
 
 
 def _cmd_bound(args):
+    from . import bounds
+
     kind = args.kind
     seed = _resolve_seed(args)
     if kind == "heisenberg":
@@ -167,12 +173,7 @@ def _cmd_bound(args):
             "f2_bound": nhb.f2_bound, "r_opt": nhb.r_opt,
         }
     else:  # local
-        specs = jsonio.load_json(_require_arg(args, "locals", kind))
-        if not isinstance(specs, list) or not specs:
-            raise InvalidInputError(
-                "--locals must point to a nonempty JSON list of generators"
-            )
-        maps = [_local_map(spec, i) for i, spec in enumerate(specs)]
+        maps = jsonio.load_local_maps(_require_arg(args, "locals", kind))
         value = bounds.local_generator_sep_bound(
             maps, seed=seed, restarts=int(args.restarts)
         )
@@ -180,42 +181,13 @@ def _cmd_bound(args):
     return report, 0
 
 
-def _local_map(spec, index: int) -> matcore.Superoperator:
-    name = f"locals[{index}]"
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InvalidInputError(f"{name} must be an object with \"kind\"")
-    kind = spec["kind"]
-    if kind == "hamiltonian":
-        if "hamiltonian" not in spec:
-            raise InvalidInputError(f"{name}: missing field \"hamiltonian\"")
-        h = jsonio.matrix_from_json(spec["hamiltonian"], f"{name}.hamiltonian")
-        return matcore.Superoperator.from_hamiltonian(h)
-    if kind == "non_hermitian":
-        for key in ("h", "gamma"):
-            if key not in spec:
-                raise InvalidInputError(f"{name}: missing field \"{key}\"")
-        h = jsonio.matrix_from_json(spec["h"], f"{name}.h")
-        gamma = jsonio.matrix_from_json(spec["gamma"], f"{name}.gamma")
-        return matcore.Superoperator.from_non_hermitian(h, gamma)
-    if kind == "matrix":
-        if "matrix" not in spec:
-            raise InvalidInputError(f"{name}: missing field \"matrix\"")
-        m = jsonio.matrix_from_json(spec["matrix"], f"{name}.matrix")
-        return matcore.Superoperator.from_matrix(m)
-    raise InvalidInputError(
-        f"{name}: \"kind\" must be hamiltonian, non_hermitian, or matrix; "
-        f"got {kind!r}"
-    )
-
-
-_MODELS = {
-    "gaussian": lambda s: estimation.gaussian_location(sigma=s),
-    "cauchy": lambda s: estimation.cauchy_location(gamma=s),
-    "laplace": lambda s: estimation.laplace_location(scale=s),
-}
+# --model NAME builds estimation.NAME_location(scale)
+_MODELS = ("cauchy", "gaussian", "laplace")
 
 
 def _cmd_estimate(args):
+    from . import estimation
+
     seed = _resolve_seed(args)
     if args.rho is not None or args.sigma is not None:
         if args.rho is None or args.sigma is None:
@@ -239,7 +211,7 @@ def _cmd_estimate(args):
         raise InvalidInputError(
             "estimate needs either --model or a --rho/--sigma pair"
         )
-    model = _MODELS[args.model](float(args.scale))
+    model = getattr(estimation, f"{args.model}_location")(float(args.scale))
     result = estimation.median_dispersion_vs_bound(
         model, float(args.theta), int(args.m), int(args.trials), seed=seed
     )
@@ -249,6 +221,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_oracle(args):
+    from . import oracle
+
     seed = _resolve_seed(args)
     objective = args.objective
     alpha = float(args.alpha)
@@ -371,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("estimate", help="estimation-error checks")
-    p.add_argument("--model", choices=sorted(_MODELS), default=None)
+    p.add_argument("--model", choices=_MODELS, default=None)
     p.add_argument("--scale", type=float, default=1.0,
                    help="model scale (sigma, gamma, or b)")
     p.add_argument("--theta", type=float, default=0.0)

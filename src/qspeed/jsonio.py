@@ -4,9 +4,14 @@ File schemas: a matrix is {"dim": n, "entries": [[[re, im], ...], ...]}
 row-major; a distribution is {"weights": [...]} with an optional
 "derivative"; snapshots are a list of {"theta": t, "weights": [...]};
 a family is {"kind": ..., ...} per the parametric-family kinds; a POVM
-is {"elements": [<matrix>, ...]}.  Reports are emitted with 12
-significant digits so identical inputs and seeds produce byte-identical
-output.
+is {"elements": [<matrix>, ...]}; a partition is {"blocks": [[site,
+...], ...], "hamiltonians": [<matrix>, ...]}; the --locals list of
+``bound --kind local`` holds {"kind": "hamiltonian", "hamiltonian":
+<matrix>}, {"kind": "non_hermitian", "h": <matrix>, "gamma": <matrix>}
+or {"kind": "matrix", "matrix": <superoperator matrix>}.  Reports are
+emitted with 12 significant digits so identical inputs and seeds produce
+byte-identical output.  bounds is imported inside partition_from_json
+only, so a command that reads no partition never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 
 import numpy as np
 
-from . import bounds, classical, matcore, quantum
+from . import classical, matcore, quantum
 from .errors import InvalidInputError
 
 _ROLES = ("auto", "density", "hermitian", "povm", "prob", "family", "snapshots")
@@ -200,7 +205,9 @@ def load_family(path: str) -> quantum.ParametricFamily:
     return family_from_json(load_json(path))
 
 
-def partition_from_json(obj, name: str = "partition") -> bounds.Partition:
+def partition_from_json(obj, name: str = "partition"):
+    from . import bounds
+
     if not isinstance(obj, dict) or "blocks" not in obj \
             or "hamiltonians" not in obj:
         raise InvalidInputError(
@@ -225,8 +232,45 @@ def partition_from_json(obj, name: str = "partition") -> bounds.Partition:
     return bounds.Partition(tuple(parsed_blocks), tuple(parsed_hams))
 
 
-def load_partition(path: str) -> bounds.Partition:
+def load_partition(path: str):
     return partition_from_json(load_json(path))
+
+
+def _local_map(spec, name: str) -> matcore.Superoperator:
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise InvalidInputError(f"{name} must be an object with \"kind\"")
+    kind = spec["kind"]
+    if kind == "hamiltonian":
+        if "hamiltonian" not in spec:
+            raise InvalidInputError(f"{name}: missing field \"hamiltonian\"")
+        h = matrix_from_json(spec["hamiltonian"], f"{name}.hamiltonian")
+        return matcore.Superoperator.from_hamiltonian(h)
+    if kind == "non_hermitian":
+        for key in ("h", "gamma"):
+            if key not in spec:
+                raise InvalidInputError(f"{name}: missing field \"{key}\"")
+        h = matrix_from_json(spec["h"], f"{name}.h")
+        gamma = matrix_from_json(spec["gamma"], f"{name}.gamma")
+        return matcore.Superoperator.from_non_hermitian(h, gamma)
+    if kind == "matrix":
+        if "matrix" not in spec:
+            raise InvalidInputError(f"{name}: missing field \"matrix\"")
+        m = matrix_from_json(spec["matrix"], f"{name}.matrix")
+        return matcore.Superoperator.from_matrix(m)
+    raise InvalidInputError(
+        f"{name}: \"kind\" must be hamiltonian, non_hermitian, or matrix; "
+        f"got {kind!r}"
+    )
+
+
+def load_local_maps(path: str) -> list:
+    specs = load_json(path)
+    if not isinstance(specs, list) or not specs:
+        raise InvalidInputError(
+            "--locals must point to a nonempty JSON list of generators"
+        )
+    return [_local_map(spec, f"locals[{i}]")
+            for i, spec in enumerate(specs)]
 
 
 # -- report serialization ---------------------------------------------

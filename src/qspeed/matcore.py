@@ -211,16 +211,22 @@ def schatten_norm(a, alpha: float) -> float:
 
     alpha = +inf returns the largest singular value.  Hermitian inputs
     take the cheaper eigvalsh path; the singular values are then the
-    absolute eigenvalues.  The sum is power_mean's, so it neither
+    absolute eigenvalues.  The Hermiticity tolerance is HERM_TOL scaled by
+    min(1, max|A|), so a matrix with entries far below 1 is not mistaken
+    for its Hermitian part.  The sum is power_mean's, so it neither
     underflows nor overflows; a norm that exceeds the float range raises
     NumericalConsistencyError.
     """
     require_alpha(alpha)
     a = as_matrix(a)
-    if not hermiticity_violation(a):
-        sv = np.linalg.eigvalsh(hermitian_part(a))
-    else:
+    # max|A| (taken on A/4, which cannot overflow) matters only for a
+    # defect in (0, HERM_TOL]
+    defect = hermiticity_defect(a)
+    if defect and (defect > HERM_TOL
+                   or defect > HERM_TOL * float(np.max(np.abs(a / 4))) * 4):
         sv = np.linalg.svd(a, compute_uv=False)
+    else:
+        sv = np.linalg.eigvalsh(hermitian_part(a))
     norm = power_mean(sv, alpha)
     if math.isinf(norm):
         raise NumericalConsistencyError(

@@ -265,6 +265,15 @@ def test_dist_alpha_does_not_underflow(alpha):
     assert classical.dist_alpha(p, q, alpha) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha, want", [
+    (1e12, 2.2314355131387552e-13), (1e17, 2.2314355131420975e-18)])
+def test_dist_alpha_does_not_cancel_at_huge_alpha(alpha, want):
+    # want from mpmath at 50 digits; p^(1/alpha) - q^(1/alpha) kept three
+    # digits at 1e12 and none at 1e17, where both roots round to 1
+    got = classical.dist_alpha([0.6, 0.4], [0.5, 0.5], alpha)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
 def test_power_sums_keep_their_value_at_large_alpha():
     assert classical.dist_schatten_alpha([0.6, 0.4], [0.5, 0.5], 1000) == \
         pytest.approx(0.1, rel=1e-12)

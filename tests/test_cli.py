@@ -628,31 +628,58 @@ def test_console_script_runs(tmp_path):
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
-import qspeed, qspeed.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy."))
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
 
-after_import = scipy_modules()
+import qspeed
+after_package = loaded("qspeed.")
+import qspeed.cli
+after_import = loaded("scipy")
 with contextlib.redirect_stdout(io.StringIO()):
     code = qspeed.cli.main(["speed", "--family", sys.argv[1], "--povm", "qfi"])
-print(json.dumps({"after_import": after_import, "code": code,
-                  "after_speed": scipy_modules()}))
+print(json.dumps({"after_package": after_package,
+                  "after_import": after_import, "code": code,
+                  "after_speed": loaded("scipy"),
+                  "qspeed_after_speed": loaded("qspeed.")}))
 """
 
 
 def test_cli_loads_no_scipy_for_unitary_speed(tmp_path):
-    # scipy is imported only where expm and quad run; an eager import
+    # scipy is imported only where expm and quad run, the package loads
+    # its modules on first use, and the CLI imports bounds, estimation
+    # and oracle only in the handlers that use them; an eager import
     # would add its start-up cost to every qspeed process
     fam = write(tmp_path, "fam.json", PLUS_FAMILY)
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, fam],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
+    assert probe["after_package"] == []
     assert probe["after_import"] == []
     assert probe["code"] == 0
     assert probe["after_speed"] == []
+    unused = {"qspeed.bounds", "qspeed.estimation", "qspeed.oracle"}
+    assert unused.isdisjoint(probe["qspeed_after_speed"])
+
+
+def test_package_names_are_looked_up_in_their_modules(monkeypatch):
+    import qspeed
+
+    star = {}
+    exec("from qspeed import *", star)
+    assert len(qspeed.__all__) == len(set(qspeed.__all__)) == 75
+    assert set(qspeed.__all__) <= set(star) & set(dir(qspeed))
+    for name in qspeed.__all__:
+        obj = star[name]
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert getattr(qspeed, name) is obj
+    # not cached: a name patched in its module is seen through the package
+    sentinel = object()
+    monkeypatch.setattr(quantum, "qfi", sentinel)
+    assert qspeed.qfi is sentinel
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qspeed.no_such_name
 
 
 # -- golden reports ---------------------------------------------------

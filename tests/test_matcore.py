@@ -197,6 +197,24 @@ def test_schatten_norm_does_not_underflow_at_large_alpha(alpha):
     assert got == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-200])
+def test_schatten_norm_measures_small_non_hermitian_matrices(scale):
+    # |A - A^dag| is under the absolute HERM_TOL here, and the norm of the
+    # Hermitian part (0 for the diagonal) was returned in place of A's
+    a = np.diag([0.0, scale * 1j])
+    b = scale * random_matrix(generator(102, 0), 3)
+    sv = np.linalg.svd(b, compute_uv=False)
+    h = matcore.hermitian_part(b)
+    for alpha in (1.0, 2.0, 3.5, math.inf):
+        assert matcore.schatten_norm(a, alpha) == \
+            pytest.approx(scale, rel=1e-12, abs=0)
+        assert matcore.schatten_norm(b, alpha) == \
+            pytest.approx(matcore.power_mean(sv, alpha), rel=1e-12, abs=0)
+        # an exactly Hermitian input still takes the eigvalsh path
+        assert matcore.schatten_norm(h, alpha) == \
+            matcore.power_mean(np.linalg.eigvalsh(h), alpha)
+
+
 _alphas = st.floats(1.0, 1e300)
 
 
@@ -210,8 +228,8 @@ def test_schatten_norm_between_max_and_root_d_times_max(
     a = scale * (e[:dim * dim] + 1j * e[16:16 + dim * dim]).reshape(dim, dim)
     if hermitian:
         a = matcore.hermitian_part(a)
-    # max sigma as schatten_norm sees it: a matrix within HERM_TOL of
-    # Hermitian is measured by its Hermitian part
+    # max sigma as schatten_norm sees it: a matrix within
+    # HERM_TOL * min(1, max|A|) of Hermitian is measured by its Hermitian part
     top = matcore.schatten_norm(a, math.inf)
     sf = matcore.schatten_norm(a, alpha)
     slack = 1e-12 * top
