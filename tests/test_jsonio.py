@@ -80,6 +80,29 @@ def test_family_kind_dispatch():
                         {"theta": 0.1, "state": plus}]})
 
 
+_SCALAR = {"dim": 1, "entries": [[[1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("specs, message", [
+    ({}, "--locals must point to a nonempty JSON list of generators"),
+    ([], "--locals must point to a nonempty JSON list of generators"),
+    ([3], 'locals[0] must be an object with "kind"'),
+    ([{"kind": "hamiltonian"}], 'locals[0]: missing field "hamiltonian"'),
+    ([{"kind": "non_hermitian", "h": _SCALAR}],
+     'locals[0]: missing field "gamma"'),
+    ([{"kind": "matrix"}], 'locals[0]: missing field "matrix"'),
+    ([{"kind": "matrix", "matrix": _SCALAR}, {"kind": "x"}],
+     "locals[1]: \"kind\" must be hamiltonian, non_hermitian, or matrix; "
+     "got 'x'"),
+])
+def test_load_local_maps_names_the_bad_entry(tmp_path, specs, message):
+    path = tmp_path / "locals.json"
+    path.write_text(json.dumps(specs))
+    with pytest.raises(InvalidInputError) as exc:
+        jsonio.load_local_maps(str(path))
+    assert str(exc.value) == message
+
+
 def test_dump_report_formatting():
     report = {
         "name": "check",
