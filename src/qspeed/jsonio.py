@@ -172,9 +172,7 @@ def family_from_json(obj, name: str = "family") -> quantum.ParametricFamily:
     if kind == "lindblad":
         sup = matrix_from_json(field("superop"), f"{name}.superop")
         state = matrix_from_json(field("state"), f"{name}.state")
-        return quantum.ParametricFamily.lindblad(
-            matcore.Superoperator.from_matrix(sup), state
-        )
+        return quantum.ParametricFamily.lindblad(sup, state)
     if kind == "thermal":
         h = matrix_from_json(field("hamiltonian"), f"{name}.hamiltonian")
         return quantum.ParametricFamily.thermal(h)

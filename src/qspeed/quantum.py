@@ -15,6 +15,7 @@ states, and non-Hermitian generators H_eff = H - i Gamma.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .matcore import (P_FLOOR, Superoperator, as_matrix, hermiticity_defect,
                       hermitian_part, positivity_violation, power_mean,
                       power_sum, require_alpha, require_density,
                       require_finite_alpha, require_h_gamma, require_hermitian,
-                      require_state, schatten_norm, vec, zero_tol)
+                      require_state, schatten_norm, unvec, vec, zero_tol)
 
 COMPLETENESS_TOL = 1e-9
 
@@ -171,6 +172,35 @@ def basis_povm(dim: int) -> POVM:
                             [[k] for k in range(dim)])
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself, made read-only; a must be an array the family owns."""
+    a.setflags(write=False)
+    return a
+
+
+def _boltzmann(w: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs weights e^{-beta w_m} / Z of the energies w."""
+    a = -beta * w
+    a -= np.max(a)  # overflow guard
+    e = np.exp(a)
+    return e / np.sum(e)
+
+
+def _initial_state(state, dim: int):
+    """Read-only (rho0, psi0) of a state vector or a density matrix; psi0
+    is None for a density matrix."""
+    state = np.asarray(state, dtype=complex)
+    psi0 = _frozen(require_state(state).copy()) if state.ndim == 1 else None
+    rho0 = (require_density(state) if psi0 is None
+            else np.outer(psi0, psi0.conj()))
+    if rho0.shape[0] != dim:
+        raise InvalidInputError(
+            f"state dim {rho0.shape[0]} does not match generator dim {dim}"
+        )
+    return _frozen(rho0), psi0
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class ParametricFamily:
     """A one-parameter family of states rho(theta) with analytic derivative.
 
@@ -185,96 +215,124 @@ class ParametricFamily:
       table          states sampled on a uniform theta grid; derivative by
                      central differences, Richardson-corrected when two
                      neighbors are available on each side
+
+    A family is immutable: no attribute can be reassigned and each array
+    it holds is its own read-only copy.  Each constructor builds the
+    closures ``_state(theta) -> rho`` and ``_slope(theta, rho) -> drho``.
     """
 
-    def __init__(self, kind: str, dim: int):
-        self.kind = kind
-        self.dim = dim
-        self.h = None
-        self.gamma = None
-        self.superop = None
-        self.rho0 = None
-        self.psi0 = None
+    kind: str
+    dim: int
+    _state: Callable[[float], np.ndarray]
+    _slope: Callable[[float, np.ndarray], np.ndarray]
+    h: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+    superop: Superoperator | None = None
+    rho0: np.ndarray | None = None
+    psi0: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def unitary(cls, h, state) -> "ParametricFamily":
-        h = require_hermitian(h, "H")
-        fam = cls("unitary", h.shape[0])
-        fam.h = h
-        fam._set_initial_state(state)
-        fam._hw, fam._hv = np.linalg.eigh(h)
-        return fam
+        h = _frozen(require_hermitian(h, "H"))
+        rho0, psi0 = _initial_state(state, h.shape[0])
+        hw, hv = map(_frozen, np.linalg.eigh(h))
+
+        def rho_at(theta):
+            u = (hv * np.exp(-1j * hw * theta)) @ hv.conj().T
+            return u @ rho0 @ u.conj().T
+
+        return cls("unitary", h.shape[0], rho_at,
+                   lambda theta, rho: -1j * (h @ rho - rho @ h),
+                   h=h, rho0=rho0, psi0=psi0)
 
     @classmethod
     def non_hermitian(cls, h, gamma, state) -> "ParametricFamily":
-        h, gamma = require_h_gamma(h, gamma)
-        fam = cls("non_hermitian", h.shape[0])
-        fam.h = h
-        fam.gamma = gamma
-        fam._h_eff = h - 1j * gamma
-        fam._set_initial_state(state)
-        return fam
+        h, gamma = map(_frozen, require_h_gamma(h, gamma))
+        h_eff = _frozen(h - 1j * gamma)
+        rho0, psi0 = _initial_state(state, h.shape[0])
+
+        def rho_at(theta):
+            e = _expm(-1j * h_eff * theta)
+            return e @ rho0 @ e.conj().T
+
+        def slope(theta, rho):
+            return -1j * (h_eff @ rho - rho @ h_eff.conj().T)
+
+        return cls("non_hermitian", h.shape[0], rho_at, slope, h=h,
+                   gamma=gamma, rho0=rho0, psi0=psi0)
 
     @classmethod
     def lindblad(cls, superop: Superoperator, state) -> "ParametricFamily":
         if not isinstance(superop, Superoperator):
             superop = Superoperator.from_matrix(superop)
-        fam = cls("lindblad", superop.dim)
-        fam.superop = superop
-        fam._set_initial_state(state)
+        dim, m = superop.dim, _frozen(superop.matrix.copy())
+        superop = Superoperator(m, dim, superop.kind, superop.h, superop.gamma)
+        rho0, psi0 = _initial_state(state, dim)
         # the kind promises trace conservation: Tr L[X] = 0 for all X
-        trace_row = vec(np.eye(superop.dim)).conj() @ superop.matrix
-        scale = max(float(np.max(np.abs(superop.matrix))), 1.0)
+        trace_row = vec(np.eye(dim)).conj() @ m
+        scale = max(float(np.max(np.abs(m))), 1.0)
         if float(np.max(np.abs(trace_row))) > COMPLETENESS_TOL * scale:
             raise InvalidInputError(
                 "lindblad generator does not conserve trace; use the "
                 "non_hermitian kind for trace-decaying evolutions"
             )
-        return fam
+        return cls("lindblad", dim,
+                   lambda theta: unvec(_expm(m * theta) @ vec(rho0), dim),
+                   lambda theta, rho: superop.apply(rho),
+                   superop=superop, rho0=rho0, psi0=psi0)
 
     @classmethod
     def thermal(cls, h) -> "ParametricFamily":
-        h = require_hermitian(h, "H")
-        fam = cls("thermal", h.shape[0])
-        fam.h = h
-        fam._hw, fam._hv = np.linalg.eigh(h)
-        return fam
+        h = _frozen(require_hermitian(h, "H"))
+        hw, hv = map(_frozen, np.linalg.eigh(h))
+
+        def slope(beta, rho):
+            p = _boltzmann(hw, beta)
+            mean = float(np.sum(p * hw))
+            return (hv * (p * (mean - hw))) @ hv.conj().T
+
+        return cls("thermal", h.shape[0],
+                   lambda beta: (hv * _boltzmann(hw, beta)) @ hv.conj().T,
+                   slope, h=h)
 
     @classmethod
     def table(cls, points) -> "ParametricFamily":
         if len(points) < 3:
             raise InvalidInputError("table family needs at least 3 grid points")
-        thetas = np.asarray([float(t) for t, _ in points])
+        thetas = _frozen(np.asarray([float(t) for t, _ in points]))
         steps = np.diff(thetas)
         if np.any(steps <= 0):
             raise InvalidInputError("table thetas must be strictly increasing")
         h = float(np.mean(steps))
         if np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1.0):
             raise InvalidInputError("table family requires a uniform theta grid")
-        states = [require_density(s, f"table state {k}")
-                  for k, (_, s) in enumerate(points)]
-        fam = cls("table", states[0].shape[0])
-        for s in states:
-            if s.shape[0] != fam.dim:
-                raise InvalidInputError("table states have mixed dimensions")
-        fam._thetas = thetas
-        fam._states = states
-        fam._step = h
-        return fam
+        states = tuple(_frozen(require_density(s, f"table state {k}"))
+                       for k, (_, s) in enumerate(points))
+        dim, n = states[0].shape[0], len(states)
+        if any(s.shape[0] != dim for s in states):
+            raise InvalidInputError("table states have mixed dimensions")
 
-    def _set_initial_state(self, state):
-        state = np.asarray(state, dtype=complex)
-        if state.ndim == 1:
-            self.psi0 = require_state(state)
-            self.rho0 = np.outer(self.psi0, self.psi0.conj())
-        else:
-            self.rho0 = require_density(state)
-        if self.rho0.shape[0] != self.dim:
-            raise InvalidInputError(
-                f"state dim {self.rho0.shape[0]} does not match generator dim {self.dim}"
-            )
+        def index(theta):
+            i = int(np.argmin(np.abs(thetas - theta)))
+            if abs(thetas[i] - theta) > 1e-9 * max(1.0, abs(theta)):
+                raise InvalidInputError(
+                    f"theta {theta} is not on the table grid")
+            return i
+
+        def slope(theta, rho):
+            i = index(theta)
+            if i == 0 or i == n - 1:
+                raise InvalidInputError(
+                    "table derivative needs an interior grid point")
+            d1 = (states[i + 1] - states[i - 1]) / (2 * h)
+            if 2 <= i <= n - 3:
+                d2 = (states[i + 2] - states[i - 2]) / (4 * h)
+                return (4 * d1 - d2) / 3
+            return d1
+
+        return cls("table", dim, lambda theta: states[index(theta)], slope)
 
     # -- evaluation ---------------------------------------------------
 
@@ -282,43 +340,14 @@ class ParametricFamily:
         theta = float(theta)
         if not math.isfinite(theta):
             raise InvalidInputError(f"theta must be finite, got {theta}")
-        if self.kind == "unitary":
-            u = (self._hv * np.exp(-1j * self._hw * theta)) @ self._hv.conj().T
-            return u @ self.rho0 @ u.conj().T
-        if self.kind == "non_hermitian":
-            e = _expm(-1j * self._h_eff * theta)
-            return e @ self.rho0 @ e.conj().T
-        if self.kind == "lindblad":
-            prop = _expm(self.superop.matrix * theta)
-            from .matcore import unvec
-            return unvec(prop @ vec(self.rho0), self.dim)
-        if self.kind == "thermal":
-            p = self._boltzmann(theta)
-            return (self._hv * p) @ self._hv.conj().T
-        if self.kind == "table":
-            i = self._grid_index(theta)
-            return self._states[i]
-        raise InvalidInputError(f"unknown family kind {self.kind!r}")
+        return self._state(theta)
 
     def at(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """(rho, drho/dtheta) at theta; the state is evaluated once and the
         derivative is built from it."""
         theta = float(theta)
         rho = self.state_at(theta)
-        if self.kind == "unitary":
-            d = -1j * (self.h @ rho - rho @ self.h)
-        elif self.kind == "non_hermitian":
-            d = -1j * (self._h_eff @ rho - rho @ self._h_eff.conj().T)
-        elif self.kind == "lindblad":
-            d = self.superop.apply(rho)
-        elif self.kind == "thermal":
-            p = self._boltzmann(theta)
-            mean = float(np.sum(p * self._hw))
-            d = (self._hv * (p * (mean - self._hw))) @ self._hv.conj().T
-        elif self.kind == "table":
-            d = self._table_derivative(theta)
-        else:
-            raise InvalidInputError(f"unknown family kind {self.kind!r}")
+        d = self._slope(theta, rho)
         defect = hermiticity_defect(d)
         scale = max(float(np.max(np.abs(d))), 1.0)
         if defect > 1e-8 * scale:
@@ -329,34 +358,6 @@ class ParametricFamily:
 
     def derivative_at(self, theta: float) -> np.ndarray:
         return self.at(theta)[1]
-
-    def _boltzmann(self, beta: float) -> np.ndarray:
-        a = -beta * self._hw
-        a -= np.max(a)  # overflow guard
-        w = np.exp(a)
-        return w / np.sum(w)
-
-    def _grid_index(self, theta: float) -> int:
-        i = int(np.argmin(np.abs(self._thetas - theta)))
-        if abs(self._thetas[i] - theta) > 1e-9 * max(1.0, abs(theta)):
-            raise InvalidInputError(
-                f"theta {theta} is not on the table grid"
-            )
-        return i
-
-    def _table_derivative(self, theta: float) -> np.ndarray:
-        i = self._grid_index(theta)
-        n = len(self._states)
-        if i == 0 or i == n - 1:
-            raise InvalidInputError(
-                "table derivative needs an interior grid point"
-            )
-        h = self._step
-        d1 = (self._states[i + 1] - self._states[i - 1]) / (2 * h)
-        if 2 <= i <= n - 3:
-            d2 = (self._states[i + 2] - self._states[i - 2]) / (4 * h)
-            return (4 * d1 - d2) / 3
-        return d1
 
 
 def thermal_family(h) -> ParametricFamily:
@@ -390,24 +391,38 @@ def _require_states(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return rho, sigma
 
 
+def _state_roots(rho, sigma) -> list[np.ndarray]:
+    """[sqrt(rho), sqrt(sigma)] of two validated states."""
+    roots = []
+    for x in _require_states(rho, sigma):
+        w, v = np.linalg.eigh(x)
+        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    return roots
+
+
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
     Computed as the nuclear norm of sqrt(rho) sqrt(sigma); equals
     |<psi|phi>| for pure states.
     """
-    rho, sigma = _require_states(rho, sigma)
-    wr, vr = np.linalg.eigh(rho)
-    ws, vs = np.linalg.eigh(sigma)
-    sr = (vr * np.sqrt(np.clip(wr, 0.0, None))) @ vr.conj().T
-    ss = (vs * np.sqrt(np.clip(ws, 0.0, None))) @ vs.conj().T
+    sr, ss = _state_roots(rho, sigma)
     f = float(np.sum(np.linalg.svd(sr @ ss, compute_uv=False)))
     return min(max(f, 0.0), 1.0)
 
 
 def bures_distance(rho, sigma) -> float:
-    """D_2(rho, sigma) = sqrt(1 - F(rho, sigma)), normalized to [0, 1]."""
-    return float(np.sqrt(max(1.0 - fidelity(rho, sigma), 0.0)))
+    """D_2(rho, sigma) = sqrt(1 - F(rho, sigma)), normalized to [0, 1].
+
+    Computed in the polar form ||sqrt(rho) - sqrt(sigma) U||_2 / sqrt(2),
+    where U = W V^dag from the SVD sqrt(sigma) sqrt(rho) = W S V^dag
+    maximizes Re Tr{sqrt(rho) sqrt(sigma) U} = F.  Unlike 1 - F, the
+    difference does not cancel when the states are close.
+    """
+    sr, ss = _state_roots(rho, sigma)
+    w, _, vh = np.linalg.svd(ss @ sr)
+    d = np.linalg.norm(sr - ss @ (w @ vh)) / math.sqrt(2.0)
+    return min(float(d), 1.0)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -628,10 +643,10 @@ def thermal_gen_fisher(h, beta: float, alpha: float = 2.0) -> float:
     """f_alpha of a Gibbs family: the alpha-th absolute central moment of
     the energy, sum_m p_m |eps_m - <H>|^alpha, with Boltzmann weights."""
     require_finite_alpha(alpha, "f_alpha")
-    fam = ParametricFamily.thermal(h)
-    p = fam._boltzmann(float(beta))
-    mean = float(np.sum(p * fam._hw))
-    return float(power_sum(fam._hw - mean, alpha, p))
+    w = np.linalg.eigh(require_hermitian(h, "H"))[0]
+    p = _boltzmann(w, float(beta))
+    mean = float(np.sum(p * w))
+    return float(power_sum(w - mean, alpha, p))
 
 
 def weak_value_fisher(psi, h, povm: POVM, alpha: float = 2.0) -> float:

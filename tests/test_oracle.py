@@ -128,6 +128,22 @@ def test_finite_diff_matches_bures_speed():
     assert bar < 1e-5
 
 
+def test_finite_diff_bures_bar_holds_on_a_slow_family():
+    # perfbench's verify family k = 1, d = 2 at workload seed 2005: 1 - F
+    # of its step is about 4e-9, where its rounding used to exceed the bar
+    h = np.array([[0.5698842291725523,
+                   -0.23099324884980693 + 0.16409754708517935j],
+                  [-0.23099324884980693 - 0.16409754708517935j,
+                   0.857826504957515]])
+    rho0 = np.array([[0.6714288624838135,
+                      0.3451799095318824 - 0.19835228214898343j],
+                     [0.3451799095318824 + 0.19835228214898343j,
+                      0.32857113751618655]])
+    fam = ParametricFamily.unitary(h, rho0)
+    est, bar = finite_diff_speed(fam, 0.3, kind="bures", h=3e-3)
+    assert abs(est - math.sqrt(quantum.qfi(fam, 0.3) / 8.0)) <= bar
+
+
 def test_finite_diff_matches_trace_speed():
     est, bar = finite_diff_speed(plus_family(), 0.0, kind="trace")
     assert abs(est - 0.5) <= bar

@@ -91,6 +91,17 @@ def test_fidelity_identical_and_orthogonal():
     assert quantum.bures_distance(z0, z1) == pytest.approx(1.0)
 
 
+def test_bures_distance_of_close_states_does_not_cancel():
+    # for commuting states D_2^2 = 1 - sum sqrt(p q), which is
+    # sum (sqrt p - sqrt q)^2 / 2 = 5.0e-13: far below the rounding of 1 - F
+    p = np.array([0.5 + 1e-6, 0.5 - 1e-6])
+    exact = np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(0.5)) ** 2))
+    v = oracle.haar_unitary(2, generator(84))
+    rho, sigma = (v * p) @ v.conj().T, np.eye(2) / 2
+    assert quantum.bures_distance(rho, sigma) == pytest.approx(exact,
+                                                               rel=1e-9)
+
+
 def test_fidelity_pure_overlap():
     z0 = np.diag([1.0, 0.0]).astype(complex)
     plus = np.outer(PLUS, PLUS)
@@ -906,3 +917,99 @@ def test_family_rejects_bad_inputs():
         SZ / 2, 0.5 * np.eye(2))
     with pytest.raises(InvalidInputError):
         ParametricFamily.lindblad(decaying, np.diag([0.5, 0.5]))
+
+
+# -- immutable families -----------------------------------------------
+
+KINDS = ("unitary", "non_hermitian", "lindblad", "thermal", "table")
+
+
+def family_with_inputs(kind):
+    """(family, the caller's arrays it was built from).  Every input is a
+    writable complex array, which a constructor could keep as it is."""
+    h = np.array([[0.5, 0.2], [0.2, -0.5]], dtype=complex)
+    psi = PLUS.astype(complex)
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+    if kind == "unitary":
+        return ParametricFamily.unitary(h, psi), [h, psi]
+    if kind == "non_hermitian":
+        gamma = np.diag([0.0, 0.3]).astype(complex)
+        return ParametricFamily.non_hermitian(h, gamma, rho), [h, gamma, rho]
+    if kind == "lindblad":
+        m = matcore.Superoperator.from_hamiltonian(h).matrix.copy()
+        return ParametricFamily.lindblad(m, psi), [m, psi]
+    if kind == "thermal":
+        return ParametricFamily.thermal(h), [h]
+    orbit = ParametricFamily.unitary(h, rho)
+    grid = (0.0, 0.5, 1.0, 1.5, 2.0)
+    states = [np.array(orbit.state_at(t)) for t in grid]
+    return ParametricFamily.table(list(zip(grid, states))), states
+
+
+def test_family_attributes_cannot_be_reassigned():
+    for kind in KINDS:
+        fam, _ = family_with_inputs(kind)
+        for name in ("kind", "dim", "h", "gamma", "superop", "rho0", "psi0"):
+            with pytest.raises(AttributeError):
+                setattr(fam, name, None)
+
+
+def test_family_arrays_are_read_only():
+    held = []
+    for kind in KINDS:
+        fam, _ = family_with_inputs(kind)
+        held += [a for a in (fam.h, fam.gamma, fam.rho0, fam.psi0)
+                 if a is not None]
+    held.append(family_with_inputs("lindblad")[0].superop.matrix)
+    held.append(family_with_inputs("table")[0].state_at(1.0))
+    assert len(held) == 11
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+
+
+def test_editing_the_inputs_leaves_the_family_unchanged():
+    for kind in KINDS:
+        fam, inputs = family_with_inputs(kind)
+        point = [x.copy() for x in fam.at(1.0)]
+        held = [None if a is None else a.copy()
+                for a in (fam.h, fam.gamma, fam.rho0, fam.psi0)]
+        for a in inputs:
+            assert a.flags.writeable
+            a *= 3.0
+        assert all(np.array_equal(x, y) for x, y in zip(fam.at(1.0), point))
+        for a, b in zip(held, (fam.h, fam.gamma, fam.rho0, fam.psi0)):
+            assert (a is None and b is None) or np.array_equal(a, b), kind
+
+
+def test_lindblad_family_keeps_its_own_generator():
+    eye = np.eye(2)
+    h = SZ / 2
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    fam = ParametricFamily.lindblad(m, np.full((2, 2), 0.5))
+    assert quantum.qfi(fam, 0.3) == pytest.approx(1.0)
+    m *= 3.0  # a family that shared m would now give 9
+    assert quantum.qfi(fam, 0.3) == pytest.approx(1.0)
+    m[0, 0] = -1.0  # no longer conserves trace
+    assert np.trace(fam.state_at(0.3)).real == pytest.approx(1.0)
+
+
+def test_evaluation_is_defined_on_the_family_class():
+    # perfbench's tracer wraps these entries of the class dict
+    for name in ("state_at", "at", "derivative_at"):
+        assert name in ParametricFamily.__dict__
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_at_evaluates_its_state_through_state_at(kind, monkeypatch):
+    fam, _ = family_with_inputs(kind)
+    state_at = ParametricFamily.state_at
+    calls = []
+
+    def counted(self, theta):
+        calls.append(theta)
+        return state_at(self, theta)
+
+    monkeypatch.setattr(ParametricFamily, "state_at", counted)
+    fam.at(1.0)
+    assert calls == [1.0]
