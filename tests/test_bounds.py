@@ -3,11 +3,12 @@ spin squeezing, curve length, and the entanglement witness."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qspeed import bounds, matcore, quantum
+from qspeed import bounds, matcore, oracle, quantum
 from qspeed.bounds import Partition
 from qspeed.errors import (DegenerateInputError, InvalidInputError,
                           NumericalConsistencyError)
@@ -170,6 +171,64 @@ def test_superop_norm_of_a_huge_generator_warns_nothing():
         warnings.simplefilter("error")
         res = bounds.superop_norm(op, 1.0, restarts=4, seed=0)
     assert res.value == pytest.approx(1e308, rel=1e-9)
+
+
+# The regression table: superop_norm's values at the commit before its
+# dual ascent, one per run of superop_corpus().  A value may rise, since
+# a better ascent finds a higher attained value, but not fall.
+SUPEROP_TABLE = Path(__file__).parent / "golden" / "superop.npz"
+
+
+def lindblad_matrix(h, jump):
+    """Column-stacked matrix of L[r] = -i[H, r] + A r A^dag - {A^dag A, r}/2."""
+    dim = h.shape[0]
+    eye = np.eye(dim)
+    ada = jump.conj().T @ jump
+    return (-1j * (np.kron(eye, h) - np.kron(h.T, eye))
+            + np.kron(jump.conj(), jump)
+            - 0.5 * np.kron(eye, ada) - 0.5 * np.kron(ada.T, eye))
+
+
+def superop_corpus():
+    """Run name -> (map, alpha, restarts, seed).
+
+    Four seeded maps H plus one jump 0.3 G (G Ginibre) at each of d = 2,
+    3, 4, each at alpha in {1, 1.5, 2, 3, inf} with 32 restarts; and the
+    matrix map of the bound-local golden report at restarts 1, 4 and 32
+    and seeds 0-11.
+    """
+    runs = {}
+    for dim in (2, 3, 4):
+        for k in range(4):
+            h = oracle.random_instance("hermitian", dim, 43, k)
+            rng = generator(43, dim, k)
+            jump = 0.3 * (rng.standard_normal((dim, dim))
+                          + 1j * rng.standard_normal((dim, dim)))
+            op = matcore.Superoperator.from_matrix(lindblad_matrix(h, jump))
+            for alpha in ("1", "1.5", "2", "3", "inf"):
+                runs[f"d{dim}-map{k}-alpha{alpha}"] = (op, float(alpha), 32, k)
+    # the golden family's lindblad generator: seed 17, instances 0 and 3
+    golden = matcore.Superoperator.from_matrix(lindblad_matrix(
+        oracle.random_instance("hermitian", 2, 17, 0),
+        0.3 * oracle.random_instance("hermitian", 2, 17, 3)))
+    for restarts in (1, 4, 32):
+        for seed in range(12):
+            runs[f"golden-r{restarts}-seed{seed}"] = (golden, 1.0, restarts,
+                                                     seed)
+    return runs
+
+
+SUPEROP_CORPUS = superop_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(SUPEROP_CORPUS))
+def test_superop_norm_meets_the_regression_table(name):
+    op, alpha, restarts, seed = SUPEROP_CORPUS[name]
+    res = bounds.superop_norm(op, alpha, restarts=restarts, seed=seed)
+    with np.load(SUPEROP_TABLE) as table:
+        recorded = float(table[name])
+    assert res.value >= recorded * (1.0 - 1e-9)
+    assert res.converged
 
 
 # -- non-Hermitian speed caps -----------------------------------------
