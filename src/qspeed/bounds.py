@@ -129,8 +129,11 @@ def bhatia_davis_bound(h, rho) -> float:
 # -- induced superoperator norm ---------------------------------------
 
 
-# iteration cap of each superop_norm restart
-_MAX_ITERS = 300
+# A restart stops once a step raises its value by at most _GAIN_TOL of it,
+# or after _MAX_ITERS steps.  Restarts advance _BLOCK rows at a time.
+_MAX_ITERS = 1000
+_GAIN_TOL = 1e-12
+_BLOCK = 256
 
 
 class SuperopNorm(NamedTuple):
@@ -139,91 +142,76 @@ class SuperopNorm(NamedTuple):
     converged: bool
 
 
-def _numeric_gradient(fn: Callable[[np.ndarray], float], z: np.ndarray,
-                      step: float = 1e-6) -> np.ndarray:
-    grad = np.empty_like(z)
-    for i in range(z.size):
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += step
-        zm[i] -= step
-        grad[i] = (fn(zp) - fn(zm)) / (2.0 * step)
-    return grad
+def _dual(m: np.ndarray, psi: np.ndarray, alpha: float):
+    """(||Y||_alpha, S) for each row psi: Y = herm L[psi psi^dag] =
+    V diag(w) V^dag, and S = V diag(sign w (|w|/max|w|)^(alpha-1)) V^dag is
+    a positive multiple of the S with ||S||_beta = 1 and Tr{S Y} = ||Y||_alpha
+    (1/alpha + 1/beta = 1)."""
+    n, dim = psi.shape
+    rho = psi[:, :, None].conj() * psi[:, None, :]  # (psi psi^dag)^T
+    y = (rho.reshape(n, -1) @ m.T).reshape(n, dim, dim).swapaxes(1, 2)
+    w, v = np.linalg.eigh(matcore.hermitian_part(y))
+    top = np.max(np.abs(w), axis=1)
+    r = np.abs(w) / np.where(top > 0, top, 1.0)[:, None]
+    value = top if math.isinf(alpha) else (
+        top * np.sum(r ** alpha, axis=1) ** (1.0 / alpha))
+    s = (v * (np.sign(w) * r ** (alpha - 1.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return value, s
 
 
 def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
                  seed: int = 0) -> SuperopNorm:
     """Induced norm sup ||L[|psi><psi|]||_alpha over unit vectors psi.
 
-    The supremum over density operators is attained on pure states, so the
-    search runs on the unit sphere: multi-start projected gradient ascent
-    with numerically estimated gradients, stopping once a step improves the
-    value by less than 1e-10.  The returned value is attained by the
-    returned state, hence a certified lower bound on the supremum;
-    ``converged`` is False when the best run only stopped at the iteration
-    cap.  Deterministic for a fixed seed.
+    The supremum over density operators is attained on pure states.  The
+    search is Boyd's power method, from seeded random states run as one
+    stack, on M divided exactly by a power of two: a step moves each state
+    to the top eigenvector of herm L^dag[S], S the dual of its image (see
+    _dual).  That state maximizes Tr{S L[rho]} <= ||L[rho]||_alpha (Hölder),
+    so a move never lowers the value; it is kept only where the value
+    rises.  The returned value is attained by the returned state, hence a
+    certified lower bound on the supremum; ``converged`` is False when the
+    best run only stopped at the iteration cap.  Deterministic for a fixed
+    seed.
     """
     require_alpha(alpha)
+    restarts = int(restarts)
+    if restarts < 1:
+        raise InvalidInputError("restarts must be >= 1")
+    dim, scale = op.dim, _pow2_scale(op.matrix)
+    m = op.matrix / scale  # exact; no norm of m overflows
     defect = op.hermiticity_preservation_defect()
-    scale = max(_norm(op.matrix), 1.0)
-    if defect > 1e-9 * scale:
+    if defect > 1e-9 * max(scale * float(np.linalg.norm(m)), 1.0):
         raise InvalidInputError(
             "superoperator must preserve Hermiticity "
             f"(max|conj(M) - S M S| = {defect:.3g})"
         )
-    dim = op.dim
-
-    def objective(z: np.ndarray) -> float:
-        psi = z[:dim] + 1j * z[dim:]
-        psi = psi / np.linalg.norm(psi)
-        out = op.apply(np.outer(psi, psi.conj()))
-        out = 0.5 * (out + out.conj().T)
-        return matcore.schatten_norm(out, alpha)
-
-    best_val = -1.0
-    best_state = np.zeros(dim, dtype=complex)
-    best_converged = False
-    for start in range(int(restarts)):
-        rng = generator(seed, start)
-        z = rng.standard_normal(2 * dim)
-        z /= np.linalg.norm(z)
-        val = objective(z)
-        step = 0.1
-        converged = False
+    best = (-math.inf, None, False)
+    for lo in range(0, restarts, _BLOCK):
+        z = np.stack([generator(seed, start).standard_normal(2 * dim)
+                      for start in range(lo, min(lo + _BLOCK, restarts))])
+        psi = z[:, :dim] + 1j * z[:, dim:]
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        val, s = _dual(m, psi, alpha)
+        live = np.ones(len(psi), dtype=bool)
         for _ in range(_MAX_ITERS):
-            grad = _numeric_gradient(objective, z)
-            grad -= z * float(z @ grad)  # tangent to the sphere
-            gnorm = _norm(grad)
-            if gnorm == 0.0:
-                converged = True
+            # L^dag[S] = unvec(M^dag vec S), by rows
+            adj = s.swapaxes(1, 2).reshape(len(s), -1) @ m.conj()
+            adj = adj.reshape(s.shape).swapaxes(1, 2)
+            cand = np.linalg.eigh(matcore.hermitian_part(adj))[1][:, :, -1]
+            cval, cs = _dual(m, cand, alpha)
+            up = live & (cval > val)
+            live &= cval - val > _GAIN_TOL * cval
+            psi[up], val[up], s[up] = cand[up], cval[up], cs[up]
+            if not live.any():
                 break
-            improved = False
-            cand, cval = z, val
-            while step > 1e-12:
-                trial = z + step * grad / gnorm
-                trial /= np.linalg.norm(trial)
-                tval = objective(trial)
-                if tval > val:
-                    cand, cval = trial, tval
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                converged = True
-                break
-            z, gain = cand, cval - val
-            val = cval
-            if gain < 1e-10:
-                converged = True
-                break
-            step = min(step * 1.5, 0.5)
-        if val > best_val:
-            psi = z[:dim] + 1j * z[dim:]
-            best_val = float(val)
-            best_state = psi / np.linalg.norm(psi)
-            best_converged = converged
-    return SuperopNorm(value=best_val, state=best_state,
-                       converged=best_converged)
+        k = int(val.argmax())  # the first row with the largest value
+        if val[k] > best[0]:
+            best = (val[k], psi[k], not live[k])
+    _, state, converged = best
+    out = op.apply(np.outer(state, state.conj()))
+    value = matcore.schatten_norm(0.5 * (out + out.conj().T), alpha)
+    return SuperopNorm(value=value, state=state, converged=converged)
 
 
 # -- non-Hermitian shift-minimized bound ------------------------------
@@ -266,17 +254,6 @@ def _pow2_scale(a: np.ndarray) -> float:
     """The largest power of two at or below max(|Re a|, |Im a|), or 1."""
     top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
     return math.ldexp(1.0, max(math.frexp(top)[1] - 1, 0))
-
-
-def _norm(a: np.ndarray) -> float:
-    """np.linalg.norm(a), taken on a divided by _pow2_scale(a) only where
-    the plain norm overflows; every norm that is finite keeps its bits."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if math.isinf(norm):
-        s = _pow2_scale(a)
-        norm = s * float(np.linalg.norm(a / s))
-    return norm
 
 
 def _commute_2x2(h: np.ndarray, gamma: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ its input.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,6 +294,12 @@ def golden_rows(fn, a: np.ndarray, b: np.ndarray,
     return t, fn(t)
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a itself, made read-only; a must be an array its holder owns."""
+    a.setflags(write=False)
+    return a
+
+
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(x).T.reshape(-1)
@@ -302,6 +309,7 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape(dim, dim).T
 
 
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on operators, stored on column-vectorized operators.
 
@@ -310,21 +318,29 @@ class Superoperator:
     The kind flag records how the map was built: "hamiltonian" for
     commutator maps, "non_hermitian" for rho -> -i(H_eff rho - rho H_eff^dag)
     with H_eff = H - i Gamma, or "matrix" for an explicit matrix.
+
+    A superoperator is immutable: no attribute can be reassigned, and
+    ``matrix``, ``h`` and ``gamma`` are its own read-only copies.
     """
 
-    def __init__(self, matrix, dim: int, kind: str = "matrix",
-                 h: np.ndarray | None = None, gamma: np.ndarray | None = None):
-        matrix = as_matrix(matrix, "superoperator matrix")
+    matrix: np.ndarray
+    dim: int
+    kind: str = "matrix"
+    h: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+
+    def __post_init__(self):
+        dim = self.dim
+        matrix = as_matrix(self.matrix, "superoperator matrix")
         if matrix.shape[0] != dim * dim:
             raise InvalidInputError(
                 f"superoperator matrix must be {dim * dim}x{dim * dim} for dim {dim}, "
                 f"got {matrix.shape}"
             )
-        self.matrix = matrix
-        self.dim = dim
-        self.kind = kind
-        self.h = h
-        self.gamma = gamma
+        for name, a in (("matrix", matrix), ("h", self.h),
+                        ("gamma", self.gamma)):
+            if a is not None:
+                object.__setattr__(self, name, frozen(np.array(a)))
 
     @classmethod
     def from_hamiltonian(cls, h) -> "Superoperator":

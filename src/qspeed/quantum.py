@@ -23,9 +23,9 @@ import numpy as np
 from .classical import ParametricDist, as_prob
 from .errors import (DegenerateInputError, InvalidInputError,
                      NumericalConsistencyError)
-from .matcore import (P_FLOOR, Superoperator, as_matrix, hermiticity_defect,
-                      hermitian_part, positivity_violation, power_mean,
-                      power_sum, require_alpha, require_density,
+from .matcore import (P_FLOOR, Superoperator, as_matrix, frozen,
+                      hermiticity_defect, hermitian_part, positivity_violation,
+                      power_mean, power_sum, require_alpha, require_density,
                       require_finite_alpha, require_h_gamma, require_hermitian,
                       require_state, schatten_norm, unvec, vec, zero_tol)
 
@@ -44,6 +44,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
     import scipy.linalg
 
     return scipy.linalg.expm(a)
+
+
+def _evolve(generator: np.ndarray, theta: float, apply) -> np.ndarray:
+    """apply(e^{theta G}), with an error in place of numpy's warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = apply(_expm(generator * theta))
+    if not np.all(np.isfinite(rho)):
+        raise InvalidInputError(
+            f"the evolved state at theta = {theta:g} overflows the float range")
+    return rho
 
 
 def completeness_violation(elements) -> float:
@@ -172,12 +182,6 @@ def basis_povm(dim: int) -> POVM:
                             [[k] for k in range(dim)])
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a itself, made read-only; a must be an array the family owns."""
-    a.setflags(write=False)
-    return a
-
-
 def _boltzmann(w: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs weights e^{-beta w_m} / Z of the energies w."""
     a = -beta * w
@@ -190,14 +194,14 @@ def _initial_state(state, dim: int):
     """Read-only (rho0, psi0) of a state vector or a density matrix; psi0
     is None for a density matrix."""
     state = np.asarray(state, dtype=complex)
-    psi0 = _frozen(require_state(state).copy()) if state.ndim == 1 else None
+    psi0 = frozen(require_state(state).copy()) if state.ndim == 1 else None
     rho0 = (require_density(state) if psi0 is None
             else np.outer(psi0, psi0.conj()))
     if rho0.shape[0] != dim:
         raise InvalidInputError(
             f"state dim {rho0.shape[0]} does not match generator dim {dim}"
         )
-    return _frozen(rho0), psi0
+    return frozen(rho0), psi0
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -235,9 +239,9 @@ class ParametricFamily:
 
     @classmethod
     def unitary(cls, h, state) -> "ParametricFamily":
-        h = _frozen(require_hermitian(h, "H"))
+        h = frozen(require_hermitian(h, "H"))
         rho0, psi0 = _initial_state(state, h.shape[0])
-        hw, hv = map(_frozen, np.linalg.eigh(h))
+        hw, hv = map(frozen, np.linalg.eigh(h))
 
         def rho_at(theta):
             u = (hv * np.exp(-1j * hw * theta)) @ hv.conj().T
@@ -249,13 +253,13 @@ class ParametricFamily:
 
     @classmethod
     def non_hermitian(cls, h, gamma, state) -> "ParametricFamily":
-        h, gamma = map(_frozen, require_h_gamma(h, gamma))
-        h_eff = _frozen(h - 1j * gamma)
+        h, gamma = map(frozen, require_h_gamma(h, gamma))
+        h_eff = frozen(h - 1j * gamma)
+        gen = frozen(-1j * h_eff)
         rho0, psi0 = _initial_state(state, h.shape[0])
 
         def rho_at(theta):
-            e = _expm(-1j * h_eff * theta)
-            return e @ rho0 @ e.conj().T
+            return _evolve(gen, theta, lambda e: e @ rho0 @ e.conj().T)
 
         def slope(theta, rho):
             return -1j * (h_eff @ rho - rho @ h_eff.conj().T)
@@ -267,8 +271,7 @@ class ParametricFamily:
     def lindblad(cls, superop: Superoperator, state) -> "ParametricFamily":
         if not isinstance(superop, Superoperator):
             superop = Superoperator.from_matrix(superop)
-        dim, m = superop.dim, _frozen(superop.matrix.copy())
-        superop = Superoperator(m, dim, superop.kind, superop.h, superop.gamma)
+        dim, m = superop.dim, superop.matrix
         rho0, psi0 = _initial_state(state, dim)
         # the kind promises trace conservation: Tr L[X] = 0 for all X
         trace_row = vec(np.eye(dim)).conj() @ m
@@ -279,14 +282,15 @@ class ParametricFamily:
                 "non_hermitian kind for trace-decaying evolutions"
             )
         return cls("lindblad", dim,
-                   lambda theta: unvec(_expm(m * theta) @ vec(rho0), dim),
+                   lambda theta: _evolve(
+                       m, theta, lambda e: unvec(e @ vec(rho0), dim)),
                    lambda theta, rho: superop.apply(rho),
                    superop=superop, rho0=rho0, psi0=psi0)
 
     @classmethod
     def thermal(cls, h) -> "ParametricFamily":
-        h = _frozen(require_hermitian(h, "H"))
-        hw, hv = map(_frozen, np.linalg.eigh(h))
+        h = frozen(require_hermitian(h, "H"))
+        hw, hv = map(frozen, np.linalg.eigh(h))
 
         def slope(beta, rho):
             p = _boltzmann(hw, beta)
@@ -301,14 +305,14 @@ class ParametricFamily:
     def table(cls, points) -> "ParametricFamily":
         if len(points) < 3:
             raise InvalidInputError("table family needs at least 3 grid points")
-        thetas = _frozen(np.asarray([float(t) for t, _ in points]))
+        thetas = frozen(np.asarray([float(t) for t, _ in points]))
         steps = np.diff(thetas)
         if np.any(steps <= 0):
             raise InvalidInputError("table thetas must be strictly increasing")
         h = float(np.mean(steps))
         if np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1.0):
             raise InvalidInputError("table family requires a uniform theta grid")
-        states = tuple(_frozen(require_density(s, f"table state {k}"))
+        states = tuple(frozen(require_density(s, f"table state {k}"))
                        for k, (_, s) in enumerate(points))
         dim, n = states[0].shape[0], len(states)
         if any(s.shape[0] != dim for s in states):

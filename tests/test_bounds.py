@@ -164,6 +164,13 @@ def test_superop_norm_rejects_non_hermiticity_preserving():
         bounds.superop_norm(op, 1.0, restarts=2, seed=0)
 
 
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_superop_norm_needs_a_restart(restarts):
+    op = matcore.Superoperator.from_hamiltonian(np.diag([0.0, 3.0]))
+    with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
+        bounds.superop_norm(op, 1.0, restarts=restarts)
+
+
 def test_superop_norm_of_a_huge_generator_warns_nothing():
     # the Frobenius scale and the gradient norms overflowed before
     op = matcore.Superoperator.from_hamiltonian(np.diag([5e307, -5e307]))
@@ -229,6 +236,66 @@ def test_superop_norm_meets_the_regression_table(name):
         recorded = float(table[name])
     assert res.value >= recorded * (1.0 - 1e-9)
     assert res.converged
+    # attained by its own state, and below the cap sqrt(d) ||M||_op
+    out = op.apply(np.outer(res.state, res.state.conj()))
+    attained = matcore.schatten_norm((out + out.conj().T) / 2, alpha)
+    assert attained == pytest.approx(res.value, rel=1e-9)
+    assert res.value <= math.sqrt(op.dim) * np.linalg.norm(op.matrix, 2)
+
+
+def dual_gap(op, psi, alpha):
+    """lambda_max(herm L^dag[S]) / ||Y||_alpha - 1 at Y = herm L[psi psi^dag],
+    with S the dual of Y of unit beta-norm, 1/alpha + 1/beta = 1.
+
+    Tr{S L[rho]} <= ||L[rho]||_alpha for every state rho, and psi attains
+    ||Y||_alpha = Tr{S Y}; a state where the gap is positive is not a
+    stationary point of the ascent.
+    """
+    y = op.apply(np.outer(psi, psi.conj()))
+    w, v = np.linalg.eigh((y + y.conj().T) / 2)
+    r = np.abs(w) / np.max(np.abs(w))
+    s = (v * (np.sign(w) * r ** (alpha - 1.0))) @ v.conj().T
+    beta = math.inf if alpha == 1 else 1.0 if math.isinf(alpha) else (
+        alpha / (alpha - 1.0))
+    s /= matcore.schatten_norm(s, beta)
+    adj = matcore.unvec(op.matrix.conj().T @ matcore.vec(s), op.dim)
+    top = np.linalg.eigvalsh((adj + adj.conj().T) / 2)[-1]
+    return top / matcore.schatten_norm((y + y.conj().T) / 2, alpha) - 1.0
+
+
+@pytest.mark.parametrize("name", ["golden-r4-seed8"] + [
+    f"d{dim}-map0-alpha{alpha}" for dim in (2, 3, 4)
+    for alpha in ("1", "1.5", "2", "3", "inf")])
+def test_superop_norm_state_is_stationary(name):
+    op, alpha, restarts, seed = SUPEROP_CORPUS[name]
+    res = bounds.superop_norm(op, alpha, restarts=restarts, seed=seed)
+    assert dual_gap(op, res.state, alpha) <= 1e-11
+
+
+def bloch_grid_max(op, alpha):
+    """max ||herm L[psi psi^dag]||_alpha over a 181 x 360 grid of qubit
+    pure states (polar angle by 1 degree, azimuth by 1 degree)."""
+    t, p = np.meshgrid(np.linspace(0.0, math.pi, 181),
+                       np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False))
+    psi = np.stack([np.cos(t / 2).ravel(),
+                    np.exp(1j * p.ravel()) * np.sin(t / 2).ravel()], axis=1)
+    # rows are vec(psi psi^dag) = (psi psi^dag)^T flattened
+    rho = (psi[:, :, None].conj() * psi[:, None, :]).reshape(-1, 4)
+    y = (rho @ op.matrix.T).reshape(-1, 2, 2).swapaxes(1, 2)
+    w = np.abs(np.linalg.eigvalsh((y + y.conj().swapaxes(1, 2)) / 2))
+    if math.isinf(alpha):
+        return float(w.max())
+    return float((np.sum(w ** alpha, axis=1) ** (1.0 / alpha)).max())
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("k", range(4))
+def test_superop_norm_beats_a_bloch_sphere_grid(k, alpha):
+    # an independent reference: the supremum runs over qubit pure states,
+    # which the grid covers densely; these maps conserve trace
+    op = SUPEROP_CORPUS[f"d2-map{k}-alpha1"][0]
+    res = bounds.superop_norm(op, alpha, seed=k)
+    assert res.value >= bloch_grid_max(op, alpha)
 
 
 # -- non-Hermitian speed caps -----------------------------------------

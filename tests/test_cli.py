@@ -357,6 +357,36 @@ def test_bound_nonhermitian_large_entries_warn_nothing(tmp_path):
                            '  "r_opt": 1e+200\n}\n')
 
 
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_bound_local_rejects_restarts_below_one(tmp_path, capsys, restarts):
+    # with no restart the norm search returned -1, and the cap printed 1
+    # for the commutator map of H = diag(0, 3), whose squared norm is 9
+    h, eye = np.diag([0.0, 3.0]), np.eye(2)
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    path = write(tmp_path, "locals.json",
+                 [{"kind": "matrix", "matrix": matrix_json(m)}])
+    code, out, err = run(capsys, ["bound", "--kind", "local", "--locals",
+                                  path, "--restarts", restarts])
+    assert (code, out) == (2, "")
+    assert err == "qspeed: error: restarts must be >= 1\n"
+
+
+@pytest.mark.parametrize("family", [
+    {"kind": "lindblad", "superop": matrix_json(np.diag([0.0, 1.0, 1.0, 0.0])),
+     "state": PLUS_RHO},
+    {"kind": "non_hermitian", "h": matrix_json(np.zeros((2, 2))),
+     "gamma": matrix_json(np.diag([-1.0, 0.0])), "state": PLUS_RHO},
+], ids=["lindblad", "non_hermitian"])
+def test_speed_of_an_overflowing_evolution_exits_2(tmp_path, family):
+    # a growing mode overflows e^{theta L}: scipy's and numpy's
+    # RuntimeWarnings reached stderr before an error on an internal operand
+    fam = write(tmp_path, "fam.json", family)
+    proc = run_process(["speed", "--family", fam, "--theta", "1000"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("qspeed: error: the evolved state at theta = "
+                           "1000 overflows the float range\n")
+
+
 def test_bound_nonhermitian_unbounded_shift_interval_exits_3(tmp_path):
     h = write(tmp_path, "h.json", matrix_json(np.diag([1e308, -1e308])))
     g = write(tmp_path, "g.json", matrix_json(np.diag([1e308, 0.0])))

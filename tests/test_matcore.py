@@ -1,6 +1,7 @@
 """Linear-algebra kernel tests: eigendecomposition, Schatten norms,
 Jordan-Hahn decomposition, superoperator vectorization."""
 
+import dataclasses
 import math
 import warnings
 
@@ -320,6 +321,31 @@ def test_superoperator_preserves_hermiticity():
         x = random_hermitian(rng, 3)
         out = op.apply(x)
         assert matcore.hermiticity_defect(out) <= 1e-10
+
+
+def test_superoperator_attributes_cannot_be_reassigned():
+    op = matcore.Superoperator.from_non_hermitian(SZ / 2, np.diag([0.3, 0.1]))
+    for name in ("matrix", "dim", "kind", "h", "gamma"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, getattr(op, name))
+
+
+def test_superoperator_arrays_are_read_only():
+    op = matcore.Superoperator.from_non_hermitian(SZ / 2, np.diag([0.3, 0.1]))
+    for a in (op.matrix, op.h, op.gamma):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
+def test_editing_the_input_leaves_the_superoperator_unchanged():
+    rng = generator(108)
+    m = matcore.Superoperator.from_hamiltonian(random_hermitian(rng, 2)).matrix
+    m = m.copy()
+    op = matcore.Superoperator.from_matrix(m)
+    x = random_matrix(rng, 2)
+    before = op.apply(x)
+    m *= 3.0  # a superoperator that shared m would now triple its image
+    assert np.array_equal(op.apply(x), before)
 
 
 def test_hermiticity_preservation_defect_is_exact():
