@@ -423,7 +423,11 @@ def asep_bound(rho, part: Partition, alpha: float) -> float:
     """Speed cap for states separable across a partition, evaluated on rho.
 
     2^(1/alpha) sqrt(sum_k Var_rho(H_k)); the bound is state-dependent, so
-    it is computed on the submitted state.
+    it is computed on the submitted state.  The variances are taken on
+    H_k / s, with s the largest power-of-two scale of the H_k, and the cap
+    is multiplied back by s: the division is exact, so the cap has the bits
+    of the unscaled sum wherever that sum does not overflow.  Raises
+    NumericalConsistencyError when the cap exceeds the float range.
     """
     rho = matcore.require_density(rho)
     require_alpha(alpha)
@@ -431,12 +435,18 @@ def asep_bound(rho, part: Partition, alpha: float) -> float:
         raise InvalidInputError(
             f"dimension mismatch: partition is {part.dim}, rho is {rho.shape[0]}"
         )
+    scale = max(_pow2_scale(hk) for hk in part.hamiltonians)
     total = 0.0
     for hk in part.hamiltonians:
+        hk = hk / scale
         mean = float(np.real(np.trace(rho @ hk)))
         mean_sq = float(np.real(np.trace(rho @ hk @ hk)))
         total += max(mean_sq - mean * mean, 0.0)
-    return float(2.0 ** (1.0 / alpha) * math.sqrt(total))
+    cap = scale * float(2.0 ** (1.0 / alpha) * math.sqrt(total))
+    if not math.isfinite(cap):
+        raise NumericalConsistencyError(
+            "partition-separable cap overflows: it is not a finite float")
+    return cap
 
 
 def local_generator_sep_bound(local_maps: Sequence[Superoperator], *,

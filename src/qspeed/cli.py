@@ -379,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a JSON file's invariants")
     p.add_argument("path", help="file to check")
     p.add_argument("--as", dest="as_role", default="auto",
-                   choices=("auto", "density", "hermitian", "povm", "prob",
-                            "family", "snapshots"),
+                   choices=jsonio._ROLES,
                    help="role to validate against (default: detect)")
     _add_common(p)
     p.set_defaults(func=_cmd_validate)

@@ -73,12 +73,12 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(q - q.conj().T))) * 4
 
 
-def hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A^dag)/2 as A/2 + (A/2)^dag, which cannot overflow and, halving
     being exact, is the same matrix for finite inputs that do not underflow
     (a zero may change sign).  A stack (..., d, d) is taken matrix by
-    matrix; out=a works in place."""
-    h = np.divide(a, 2, out=out)
+    matrix."""
+    h = np.divide(a, 2)
     h += h.conj().swapaxes(-1, -2)
     return h
 
@@ -267,29 +267,23 @@ def golden_rows(fn, a: np.ndarray, b: np.ndarray,
 
     ``fn`` maps an array of one point per row to the rows' values.  Every
     row takes the branch that its own comparison fc > fd picks (ties go
-    right) and stops once its bracket is at most ``tol``.  Returns
+    right), and all rows step until every bracket is at most ``tol``, so
+    rows of one starting width stop on the same step.  Returns
     (midpoints, values); minimize by negating fn.
     """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    while True:
-        live = b - a > tol
-        n_live = np.count_nonzero(live)
-        if not n_live:
-            break
+    while np.count_nonzero(b - a > tol):  # cheaper than np.any per call
         left = fc > fd  # the maximum lies in [a, d]
         na = np.where(left, a, c)
         nb = np.where(left, d, b)
         w = _INV_PHI * (nb - na)
         t = np.where(left, nb - w, na + w)
         ft = fn(t)
-        step = (na, nb, np.where(left, t, d), np.where(left, c, t),
-                np.where(left, ft, fd), np.where(left, fc, ft))
-        if n_live < live.size:
-            step = [np.where(live, new, old)
-                    for new, old in zip(step, (a, b, c, d, fc, fd))]
-        a, b, c, d, fc, fd = step
+        a, b, c, d, fc, fd = (na, nb, np.where(left, t, d),
+                              np.where(left, c, t), np.where(left, ft, fd),
+                              np.where(left, fc, ft))
     t = 0.5 * (a + b)
     return t, fn(t)
 

@@ -31,10 +31,6 @@ from .matcore import (P_FLOOR, Superoperator, as_matrix, frozen,
 
 COMPLETENESS_TOL = 1e-9
 
-# Rank-1 projectors are built this many bytes of elements at a time, which
-# bounds the temporaries of one block.
-_BLOCK_BYTES = 1 << 20
-
 
 def _expm(a: np.ndarray) -> np.ndarray:
     # scipy is imported here, not at module level: its import takes several
@@ -44,16 +40,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     import scipy.linalg
 
     return scipy.linalg.expm(a)
-
-
-def _evolve(generator: np.ndarray, theta: float, apply) -> np.ndarray:
-    """apply(e^{theta G}), with an error in place of numpy's warnings."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = apply(_expm(generator * theta))
-    if not np.all(np.isfinite(rho)):
-        raise InvalidInputError(
-            f"the evolved state at theta = {theta:g} overflows the float range")
-    return rho
 
 
 def completeness_violation(elements) -> float:
@@ -123,21 +109,10 @@ class POVM:
         return tuple(self)
 
     def _basis_elements(self):
-        """The projectors of a basis POVM, one at a time.  The leading
-        singleton groups are batched rank-1 matmuls, _BLOCK_BYTES of
-        elements per new block (the batched matmul has the bits of the
-        2-D one); each later group B is B B^dag."""
-        w, d = self._w, self.dim
-        n = next((i for i, s in enumerate(self._sizes) if s != 1),
-                 len(self._sizes))
-        cols = w[:, :n].T
-        step = max(1, _BLOCK_BYTES // (w.itemsize * d * d))
-        for lo in range(0, n, step):
-            c = cols[lo:lo + step]
-            block = np.matmul(c[:, :, None], c.conj()[:, None, :])
-            yield from hermitian_part(block, out=block)
-        lo = n
-        for size in self._sizes[n:]:
+        """The projectors B B^dag of a basis POVM, one column group B at a
+        time."""
+        w, lo = self._w, 0
+        for size in self._sizes:
             b = w[:, lo:lo + size]
             yield hermitian_part(b @ b.conj().T)
             lo += size
@@ -259,7 +234,8 @@ class ParametricFamily:
         rho0, psi0 = _initial_state(state, h.shape[0])
 
         def rho_at(theta):
-            return _evolve(gen, theta, lambda e: e @ rho0 @ e.conj().T)
+            e = _expm(gen * theta)
+            return e @ rho0 @ e.conj().T
 
         def slope(theta, rho):
             return -1j * (h_eff @ rho - rho @ h_eff.conj().T)
@@ -282,9 +258,8 @@ class ParametricFamily:
                 "non_hermitian kind for trace-decaying evolutions"
             )
         return cls("lindblad", dim,
-                   lambda theta: _evolve(
-                       m, theta, lambda e: unvec(e @ vec(rho0), dim)),
-                   lambda theta, rho: superop.apply(rho),
+                   lambda theta: unvec(_expm(m * theta) @ vec(rho0), dim),
+                   lambda theta, rho: unvec(m @ vec(rho), dim),
                    superop=superop, rho0=rho0, psi0=psi0)
 
     @classmethod
@@ -341,23 +316,36 @@ class ParametricFamily:
     # -- evaluation ---------------------------------------------------
 
     def state_at(self, theta: float) -> np.ndarray:
+        """rho(theta), with an error in place of numpy's warnings where it
+        overflows the float range (a growing mode, or a huge theta)."""
         theta = float(theta)
         if not math.isfinite(theta):
             raise InvalidInputError(f"theta must be finite, got {theta}")
-        return self._state(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = self._state(theta)
+        if not np.isfinite(rho).all():
+            raise InvalidInputError(
+                f"the evolved state at theta = {theta:g} overflows the float "
+                "range")
+        return rho
 
     def at(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """(rho, drho/dtheta) at theta; the state is evaluated once and the
-        derivative is built from it."""
+        derivative is built from it.  The Hermiticity defect of drho is
+        finite exactly when drho is, so it is also the overflow check."""
         theta = float(theta)
         rho = self.state_at(theta)
-        d = self._slope(theta, rho)
-        defect = hermiticity_defect(d)
-        scale = max(float(np.max(np.abs(d))), 1.0)
-        if defect > 1e-8 * scale:
-            raise NumericalConsistencyError(
-                f"family derivative lost Hermiticity: defect {defect:.3e}"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = self._slope(theta, rho)
+            defect = hermiticity_defect(d)
+            if not math.isfinite(defect):
+                raise InvalidInputError(
+                    f"the derivative at theta = {theta:g} overflows the "
+                    "float range")
+            if defect > 1e-8 and defect > 1e-8 * float(np.max(np.abs(d))):
+                raise NumericalConsistencyError(
+                    f"family derivative lost Hermiticity: defect {defect:.3e}"
+                )
         return rho, hermitian_part(d)
 
     def derivative_at(self, theta: float) -> np.ndarray:
@@ -484,16 +472,15 @@ def _support_blocks(rho, drho):
     null = w <= tol
     if np.any(null):
         block = d[np.ix_(null, null)]
-        if block.size:
-            try:
-                lost = float(np.max(np.abs(block))) ** 2 / tol
-            except OverflowError:
-                lost = math.inf
-            if lost > 1e-8 * max(1.0, qsum):
-                raise InvalidInputError(
-                    "derivative has support outside the support of rho; "
-                    "the Fisher information is formally infinite"
-                )
+        try:
+            lost = float(np.max(np.abs(block))) ** 2 / tol
+        except OverflowError:
+            lost = math.inf
+        if lost > 1e-8 * max(1.0, qsum):
+            raise InvalidInputError(
+                "derivative has support outside the support of rho; "
+                "the Fisher information is formally infinite"
+            )
     return v, d, denom, live, qsum, int(np.sum(~null))
 
 

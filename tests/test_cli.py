@@ -387,6 +387,83 @@ def test_speed_of_an_overflowing_evolution_exits_2(tmp_path, family):
                            "1000 overflows the float range\n")
 
 
+UNITARY_10 = {"kind": "unitary",
+              "hamiltonian": matrix_json(np.diag([10.0, -10.0])),
+              "state": PLUS_RHO}
+
+
+@pytest.mark.parametrize("family, argv", [
+    (UNITARY_10, ["speed", "--theta", "1e308"]),
+    (UNITARY_10, ["witness", "--theta", "1e308"]),
+    ({"kind": "thermal", "hamiltonian": matrix_json(np.diag([10.0, -10.0]))},
+     ["speed", "--theta", "1e308"]),
+    ({"kind": "non_hermitian", "h": matrix_json(np.zeros((2, 2))),
+      "gamma": matrix_json(np.diag([-1.0, 0.0])), "state": PLUS_RHO},
+     ["speed", "--theta", "355"]),
+], ids=["unitary-speed", "unitary-witness", "thermal", "non_hermitian-slope"])
+def test_an_overflowing_family_prints_one_error_line(tmp_path, family, argv):
+    # numpy's RuntimeWarnings reached stderr before "matrix has non-finite
+    # entries"; at theta = 355 the non_hermitian state is finite and its
+    # derivative overflows
+    fam = write(tmp_path, "fam.json", family)
+    proc = run_process(argv[:1] + ["--family", fam] + argv[1:])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "overflows the float range" in proc.stderr
+
+
+def _asep_files(tmp_path, state, h0, h1):
+    s = write(tmp_path, "state.json", matrix_json(state))
+    part = write(tmp_path, "part.json",
+                 {"blocks": [[0], [1]],
+                  "hamiltonians": [matrix_json(h0), matrix_json(h1)]})
+    return s, part
+
+
+# rho = |+><+| (x) |0><0| under H_0 = 1e200 sz (x) I and H_1 = I (x) sz: the
+# cap 2^(1/alpha) sqrt(Var H_0 + Var H_1) is 2^(1/alpha) 1e200
+SZ = np.diag([1.0, -1.0])
+ASEP_STATE = np.kron(np.full((2, 2), 0.5), np.diag([1.0, 0.0]))
+ASEP_H0, ASEP_H1 = 1e200 * np.kron(SZ, np.eye(2)), np.kron(np.eye(2), SZ)
+
+
+@pytest.mark.parametrize("alpha, value", [("1", "2e+200"),
+                                          ("2", "1.41421356237e+200")])
+def test_bound_asep_of_a_large_generator_is_finite(tmp_path, alpha, value):
+    # Var H_0 = 1e400 overflowed: "value": "inf" with exit 0 and warnings
+    s, part = _asep_files(tmp_path, ASEP_STATE, ASEP_H0, ASEP_H1)
+    proc = run_process(["bound", "--kind", "asep", "--state", s,
+                        "--partition", part, "--alpha", alpha])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["value"] == float(value)
+    assert f'"value": {value}\n' in proc.stdout
+
+
+def test_witness_asep_of_a_large_generator_is_finite(tmp_path):
+    s, part = _asep_files(tmp_path, ASEP_STATE, ASEP_H0, ASEP_H1)
+    fam = write(tmp_path, "fam.json",
+                {"kind": "unitary",
+                 "hamiltonian": matrix_json(ASEP_H0 + ASEP_H1),
+                 "state": matrix_json(ASEP_STATE)})
+    proc = run_process(["witness", "--family", fam, "--kind", "asep",
+                        "--partition", part, "--alpha", "1"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert (report["speed"], report["bound"]) == (2e200, 2e200)
+
+
+def test_bound_asep_beyond_the_float_range_exits_3(tmp_path):
+    # each of two 1e308 sz blocks has variance 1e616 on |++><++|
+    s, part = _asep_files(tmp_path, np.full((4, 4), 0.25),
+                          1e308 * np.kron(SZ, np.eye(2)),
+                          1e308 * np.kron(np.eye(2), SZ))
+    proc = run_process(["bound", "--kind", "asep", "--state", s,
+                        "--partition", part, "--alpha", "1"])
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cap overflows" in proc.stderr
+
+
 def test_bound_nonhermitian_unbounded_shift_interval_exits_3(tmp_path):
     h = write(tmp_path, "h.json", matrix_json(np.diag([1e308, -1e308])))
     g = write(tmp_path, "g.json", matrix_json(np.diag([1e308, 0.0])))

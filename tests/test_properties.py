@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspeed import oracle, quantum
+from qspeed.errors import InvalidInputError
 from qspeed.quantum import ParametricFamily
 
 THETA = 0.37
@@ -55,3 +56,16 @@ def test_trace_speed_squared_is_at_most_the_qfi(fam):
     assert f1 * f1 <= f2 * (1.0 + 1e-12)
     if fam.kind == "unitary" and fam.psi0 is not None:
         assert abs(f1 * f1 - f2) <= 1e-8 * f2
+
+
+@settings(max_examples=60)
+@given(families)
+def test_far_theta_evaluates_finite_or_raises_invalid_input(fam):
+    # an overflowing state or derivative raises, and no RuntimeWarning leaks
+    for theta in (t * sign for t in (1e2, 1e150, 1e300, 1e308)
+                  for sign in (1.0, -1.0)):
+        try:
+            rho, drho = fam.at(theta)
+        except InvalidInputError:
+            continue
+        assert np.all(np.isfinite(rho)) and np.all(np.isfinite(drho))

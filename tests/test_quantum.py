@@ -446,23 +446,21 @@ def random_unitary(rng, dim):
     return np.linalg.qr(g)[0]
 
 
-def _block(dim):
-    return max(1, quantum._BLOCK_BYTES // (16 * dim * dim))
+# (dim, n) with n rank-1 groups and the rest of the dim columns as one
+# null group: n = 1, full rank, and counts in between
+SINGLETON_COUNTS = [
+    (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (8, 1), (8, 4), (8, 8),
+    (39, 1), (39, 20), (39, 39), (40, 1), (40, 39), (40, 40),
+    (41, 1), (41, 37), (41, 38), (41, 39), (41, 41),
+    (45, 1), (45, 31), (45, 32), (45, 33), (45, 45),
+    (64, 1), (64, 15), (64, 16), (64, 17), (64, 64),
+    (90, 1), (90, 7), (90, 8), (90, 9), (90, 90),
+    (128, 1), (128, 3), (128, 4), (128, 5), (128, 128),
+    (130, 1), (130, 2), (130, 3), (130, 4), (130, 130),
+]
 
 
-def _singleton_counts():
-    """(dim, n) with n rank-1 groups and the rest of the dim columns as one
-    null group: n sits at 1, at full rank, and at a block size and one
-    either side of it wherever that fits in dim."""
-    cases = []
-    for dim in (2, 3, 8, 39, 40, 41, 45, 64, 90, 128, 130):
-        b = _block(dim)
-        counts = {1, dim} | {n for n in (b - 1, b, b + 1) if 1 <= n <= dim}
-        cases += [(dim, n) for n in sorted(counts)]
-    return cases
-
-
-@pytest.mark.parametrize("dim, n", _singleton_counts())
+@pytest.mark.parametrize("dim, n", SINGLETON_COUNTS)
 def test_from_basis_matches_the_per_group_matmul(dim, n):
     v = random_unitary(generator(901, dim, n), dim)
     groups = [[k] for k in range(n)]
@@ -473,14 +471,6 @@ def test_from_basis_matches_the_per_group_matmul(dim, n):
     for e, group in zip(povm, groups):
         b = v[:, group]
         assert same_bits(e, matcore.hermitian_part(b @ b.conj().T))
-
-
-def test_from_basis_block_boundaries_are_covered():
-    # the cases above reach past one block and end exactly on one
-    cases = _singleton_counts()
-    assert any(n > _block(dim) for dim, n in cases)
-    assert any(n == _block(dim) < dim for dim, n in cases)
-    assert any(n == _block(dim) == dim for dim, n in cases)
 
 
 @pytest.mark.parametrize("dim", [2, 5, 16, 41, 64])
