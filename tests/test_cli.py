@@ -890,6 +890,19 @@ def _golden_cases():
         ["oracle", "--objective", "f_alpha", "--alpha", "2", "--theta",
          "0.37", "--restarts", "8", "--seed", "3", "--povm", "--family",
          "family.json"])
+    oracle_argv = ["oracle", "--restarts", "4", "--seed", "3", "--objective"]
+    for objective, alpha in (("f_alpha", "1"), ("f_alpha", "1.5"),
+                             ("sf_alpha", "3")):
+        cases[f"oracle-{objective}-alpha{alpha}"] = (
+            partial(_golden_family_file, "unitary", 2),
+            oracle_argv + [objective, "--alpha", alpha, "--theta", "0.37",
+                           "--family", "family.json"])
+    for objective, alpha in (("d_alpha", "1"), ("d_alpha", "2"),
+                             ("d_alpha", "3"), ("sd_alpha", "2")):
+        cases[f"oracle-{objective}-alpha{alpha}"] = (
+            partial(_golden_pair, "states"),
+            oracle_argv + [objective, "--alpha", alpha, "--state", "a.json",
+                           "--partner", "b.json"])
     for alpha in ("1", "1.5", "2", "3", "inf"):
         for kind in ("states", "dists"):
             cases[f"distance-{kind}-alpha{alpha}"] = (
@@ -910,6 +923,10 @@ def _golden_cases():
         _golden_bound_inputs, bound + ["bhatia_davis"])
     cases["bound-nonhermitian"] = (
         _golden_bound_inputs, bound + ["nonhermitian"])
+    # a CSV report has no .json golden, so its .txt golden holds exit 0
+    for kind in ("heisenberg", "nonhermitian"):
+        cases[f"bound-{kind}-csv"] = (
+            _golden_bound_inputs, bound + [kind, "--format", "csv"])
     cases["bound-ksep"] = (
         dict, ["bound", "--kind", "ksep", "--n-qubits", "3", "--k", "2",
                "--alpha", "1.5"])
