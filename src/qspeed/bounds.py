@@ -9,7 +9,7 @@ curve length along a state path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -532,14 +532,17 @@ def spin_squeezing_xi(rho, n_qubits: int, directions, beta: float = 2.0) -> floa
 
 # -- curve length -----------------------------------------------------
 
+# bisection levels the adaptive Simpson rule may take below the interval
+_MAX_DEPTH = 48
+
 
 def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                      tol: float, max_depth: int = 48) -> float:
+                      tol: float) -> float:
     fa, fb = fn(a), fn(b)
     m = 0.5 * (a + b)
     fm = fn(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(fn, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_step(fn, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
 
 
 def _simpson_step(fn, a, b, fa, fm, fb, whole, tol, depth) -> float:
@@ -595,13 +598,7 @@ class WitnessReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "speed": self.speed,
-            "bound": self.bound,
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _as_family(subject, generator_spec) -> quantum.ParametricFamily:

@@ -99,17 +99,12 @@ def _cmd_distance(args):
         sigma = jsonio.matrix_from_json(b, "second state")
         d1 = quantum.trace_distance(rho, sigma)
         d2 = quantum.bures_distance(rho, sigma)
-        if alpha == 1.0:
-            dal = d1
-        elif alpha == 2.0:
-            dal = d2
-        else:
-            dal = None  # no closed form away from alpha in {1, 2}
         report = {
             "alpha": alpha,
             "D1": d1,
             "D2": d2,
-            "Dalpha": dal,
+            # no closed form away from alpha in {1, 2}
+            "Dalpha": {1.0: d1, 2.0: d2}.get(alpha),
             "SDalpha": quantum.schatten_distance(rho, sigma, alpha),
         }
     return report, 0
@@ -144,8 +139,7 @@ def _cmd_bound(args):
     seed = _resolve_seed(args)
     if kind == "heisenberg":
         h = jsonio.load_matrix(_require_arg(args, "hamiltonian", kind), "H")
-        limit = bounds.heisenberg_limit(h)
-        report = {"kind": kind, "f1_max": limit.f1_max, "f2_max": limit.f2_max}
+        report = {"kind": kind, **bounds.heisenberg_limit(h)._asdict()}
     elif kind == "bhatia_davis":
         h = jsonio.load_matrix(_require_arg(args, "hamiltonian", kind), "H")
         rho = jsonio.load_matrix(_require_arg(args, "state", kind), "state")
@@ -167,11 +161,8 @@ def _cmd_bound(args):
     elif kind == "nonhermitian":
         h = jsonio.load_matrix(_require_arg(args, "hamiltonian", kind), "H")
         gamma = jsonio.load_matrix(_require_arg(args, "gamma", kind), "Gamma")
-        nhb = bounds.nonhermitian_speed_bound(h, gamma)
-        report = {
-            "kind": kind, "f1_bound": nhb.f1_bound,
-            "f2_bound": nhb.f2_bound, "r_opt": nhb.r_opt,
-        }
+        report = {"kind": kind,
+                  **bounds.nonhermitian_speed_bound(h, gamma)._asdict()}
     else:  # local
         maps = jsonio.load_local_maps(_require_arg(args, "locals", kind))
         value = bounds.local_generator_sep_bound(
@@ -236,12 +227,8 @@ def _cmd_oracle(args):
         value, povm = oracle.brute_force_max(fam, theta, objective, alpha, cfg)
         report["theta"] = theta
         if objective == "f_alpha":
-            if alpha == 1.0:
-                closed = quantum.trace_speed(fam, theta)
-            elif alpha == 2.0:
-                closed = quantum.qfi(fam, theta)
-            else:
-                closed = None
+            speed = {1.0: quantum.trace_speed, 2.0: quantum.qfi}.get(alpha)
+            closed = None if speed is None else speed(fam, theta)
         else:
             closed = quantum.schatten_speed(fam, theta, alpha)
     else:
@@ -255,12 +242,9 @@ def _cmd_oracle(args):
             rho, 0.0, objective, alpha, cfg, partner=sigma
         )
         if objective == "d_alpha":
-            if alpha == 1.0:
-                closed = quantum.trace_distance(rho, sigma)
-            elif alpha == 2.0:
-                closed = quantum.bures_distance(rho, sigma)
-            else:
-                closed = None
+            dist = {1.0: quantum.trace_distance,
+                    2.0: quantum.bures_distance}.get(alpha)
+            closed = None if dist is None else dist(rho, sigma)
         else:
             closed = quantum.schatten_distance(rho, sigma, alpha)
     report["brute_force"] = value

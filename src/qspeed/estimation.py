@@ -9,7 +9,7 @@ chunked and serial evaluation agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,7 @@ class ContinuousModel:
     in theta when available (otherwise a central difference is used).
     ``f1_analytic`` / ``f2_analytic`` short-circuit the quadrature in
     :meth:`f1` / :meth:`f2`.  The density is checked to integrate to one
-    on construction.
+    at theta = 0 on construction.
     """
 
     pdf: Callable
@@ -44,11 +44,9 @@ class ContinuousModel:
     f1_analytic: Callable | None = None
     f2_analytic: Callable | None = None
     name: str = "model"
-    check_theta: float = 0.0
 
     def __post_init__(self):
-        total = _split_quad(lambda x: self.pdf(x, self.check_theta),
-                            self.check_theta)
+        total = _split_quad(lambda x: self.pdf(x, 0.0), 0.0)
         if abs(total - 1.0) > _NORM_TOL:
             raise InvalidInputError(
                 f"density of {self.name!r} integrates to {total:.8g}, not 1"
@@ -270,14 +268,7 @@ class EstimationResult:
             raise NumericalConsistencyError("dispersion must be nonnegative")
 
     def to_json(self) -> dict:
-        return {
-            "dispersion": self.dispersion,
-            "bound": self.bound,
-            "stderr": self.stderr,
-            "m": self.m,
-            "trials": self.trials,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def _kde_at(points: np.ndarray, at: float) -> tuple[float, float]:
@@ -379,15 +370,7 @@ class CramerRaoReport:
     satisfied: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "variance": self.variance,
-            "bound": self.bound,
-            "quantum_bound": self.quantum_bound,
-            "stderr": self.stderr,
-            "biased": self.biased,
-            "convergent": self.convergent,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def _discrete_replicas(dist, m: int, trials: int,
