@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, quantum
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalConsistencyError
 from .matcore import (P_FLOOR, golden_rows, require_alpha,
                       require_finite_alpha)
 from .seeding import generator
@@ -377,7 +377,14 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
     best_u = np.eye(dim, dtype=complex)
     for lo in range(0, restarts, _BLOCK):
         starts = range(lo, min(lo + _BLOCK, restarts))
-        totals, us = _search_block(rho, x, starts, cfg.seed, cell, use_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals, us = _search_block(rho, x, starts, cfg.seed, cell,
+                                       use_max)
+        if not np.all(np.isfinite(totals)):
+            raise NumericalConsistencyError(
+                f"the {objective} search exceeds the float range at "
+                f"alpha = {alpha:g}"
+            )
         k = int(totals.argmax())  # the first row with the largest total
         if totals[k] > best_total:
             best_total = float(totals[k])

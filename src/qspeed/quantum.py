@@ -634,8 +634,16 @@ def thermal_gen_fisher(h, beta: float, alpha: float = 2.0) -> float:
     """f_alpha of a Gibbs family: the alpha-th absolute central moment of
     the energy, sum_m p_m |eps_m - <H>|^alpha, with Boltzmann weights."""
     require_finite_alpha(alpha, "f_alpha")
+    beta = float(beta)
+    if not math.isfinite(beta):
+        raise InvalidInputError(f"beta must be finite, got {beta}")
     w = np.linalg.eigh(require_hermitian(h, "H"))[0]
-    p = _boltzmann(w, float(beta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _boltzmann(w, beta)
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError(
+            f"the Gibbs weights at beta = {beta:g} overflow the float range"
+        )
     mean = float(np.sum(p * w))
     return float(power_sum(w - mean, alpha, p))
 

@@ -587,6 +587,25 @@ def test_oracle_distance_objective(tmp_path, capsys):
     assert abs(report["discrepancy"]) <= 1e-6
 
 
+@pytest.mark.parametrize("scale, objective, alpha", [
+    (1.0, "f_alpha", "400"), (1.0, "f_alpha", "1500"),
+    (20.0, "sf_alpha", "400")])
+def test_oracle_overflowing_search_prints_one_error_line(tmp_path, scale,
+                                                         objective, alpha):
+    # the search's cells overflowed float_power: numpy's warnings reached
+    # stderr, then f_alpha printed "brute_force": "inf" with exit 0 and
+    # sf_alpha blamed the closed form for an inf search value
+    fam = write(tmp_path, "fam.json", dict(
+        PLUS_FAMILY, hamiltonian=matrix_json(np.diag([0.5, -0.5]) * scale)))
+    proc = run_process(["oracle", "--objective", objective, "--alpha", alpha,
+                        "--family", fam, "--theta", "0.3"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"qspeed: numerical consistency failure: the {objective} search "
+        f"exceeds the float range at alpha = {alpha}\n")
+
+
 # -- validate ---------------------------------------------------------
 
 

@@ -787,6 +787,18 @@ def test_thermal_gen_fisher_qubit():
     assert 3.0 / 8.0 <= np.sqrt(3.0 / 16.0)  # F_1 <= sqrt(F_2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta, message", [
+    (1e308, "Gibbs weights at beta = 1e[+]308 overflow"),
+    (np.inf, "beta must be finite, got inf"),
+    (np.nan, "beta must be finite, got nan")])
+def test_thermal_gen_fisher_rejects_overflowing_beta(beta, message):
+    # the Gibbs weights came out nan, after RuntimeWarnings at 1e308 and
+    # inf and silently at nan
+    with pytest.raises(InvalidInputError, match=message):
+        quantum.thermal_gen_fisher(np.diag([10.0, -10.0]), beta)
+
+
 def test_thermal_freezes_out():
     fam = quantum.thermal_family(np.diag([0.0, 1.0]))
     assert quantum.trace_speed(fam, 30.0) == pytest.approx(0.0, abs=1e-10)
