@@ -69,3 +69,54 @@ def test_far_theta_evaluates_finite_or_raises_invalid_input(fam):
         except InvalidInputError:
             continue
         assert np.all(np.isfinite(rho)) and np.all(np.isfinite(drho))
+
+
+@settings(max_examples=100)
+@given(families)
+def test_schatten_speed_does_not_increase_in_alpha(fam):
+    # ||X||_alpha is nonincreasing in alpha for any matrix X = drho
+    speeds = [quantum.schatten_speed(fam, THETA, alpha)
+              for alpha in (1.0, 1.5, 2.0, 3.0, np.inf)]
+    for lower, higher in zip(speeds[1:], speeds):
+        assert lower <= higher * (1.0 + 1e-12)
+
+
+def draw_state(dim: int, seed: int, index: int, pure: bool):
+    return oracle.random_instance("pure" if pure else "density", dim, seed,
+                                  index)
+
+
+def as_density(state):
+    return np.outer(state, state.conj()) if state.ndim == 1 else state
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 3), st.integers(2, 3), st.integers(0, 2 ** 31 - 1),
+       st.booleans(), st.booleans())
+def test_qfi_is_additive_over_independent_systems(d_a, d_b, seed, pure_a,
+                                                  pure_b):
+    h_a = oracle.random_instance("hermitian", d_a, seed, 0)
+    h_b = oracle.random_instance("hermitian", d_b, seed, 1)
+    rho_a = draw_state(d_a, seed, 2, pure_a)
+    rho_b = draw_state(d_b, seed, 3, pure_b)
+    h_ab = np.kron(h_a, np.eye(d_b)) + np.kron(np.eye(d_a), h_b)
+    # two vectors or two matrices give the product's vector or matrix
+    rho_ab = (np.kron(rho_a, rho_b) if pure_a == pure_b
+              else np.kron(as_density(rho_a), as_density(rho_b)))
+    f_ab = quantum.qfi(ParametricFamily.unitary(h_ab, rho_ab), THETA)
+    f_a = quantum.qfi(ParametricFamily.unitary(h_a, rho_a), THETA)
+    f_b = quantum.qfi(ParametricFamily.unitary(h_b, rho_b), THETA)
+    assert abs(f_ab - (f_a + f_b)) <= 1e-9 * (f_a + f_b)
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 3), st.integers(2, 3), st.integers(0, 2 ** 31 - 1),
+       st.booleans())
+def test_speeds_do_not_increase_under_a_partial_trace(d_s, d_e, seed, pure):
+    h = oracle.random_instance("hermitian", d_s, seed, 0)
+    rho_se = as_density(draw_state(d_s * d_e, seed, 1, pure))
+    rho_s = np.trace(rho_se.reshape(d_s, d_e, d_s, d_e), axis1=1, axis2=3)
+    joint = ParametricFamily.unitary(np.kron(h, np.eye(d_e)), rho_se)
+    reduced = ParametricFamily.unitary(h, rho_s)
+    for speed in (quantum.trace_speed, quantum.qfi):
+        assert speed(reduced, THETA) <= speed(joint, THETA) * (1.0 + 1e-12)
