@@ -971,6 +971,16 @@ def _golden_cases():
     cases["validate-nonhermitian"] = (
         lambda: {"a.json": matrix_json([[0.5, 0.1], [0.3, 0.5]])},
         ["validate", "a.json"])
+    cases["validate-family"] = (
+        lambda: {"a.json": golden_family("unitary", 2)},
+        ["validate", "a.json"])
+    cases["validate-family-missing-field"] = (
+        lambda: {"a.json": {"kind": "unitary"}},
+        ["validate", "a.json", "--as", "family"])
+    cases["validate-snapshots"] = (
+        lambda: {"a.json": [{"theta": 0.0, "weights": [0.5, 0.5]},
+                            {"theta": 0.0, "weights": [0.75, 0.5]}]},
+        ["validate", "a.json"])
     cases["exit2-estimate-without-mode"] = (dict, ["estimate"])
     cases["exit3-heisenberg-overflow"] = (
         lambda: {"h.json": matrix_json(np.diag([1e308, -1e308]))},
