@@ -65,17 +65,20 @@ def _require_number(value, field: str) -> float:
     return x
 
 
+def _field(obj: dict, key: str, missing: str):
+    """obj[key]; an absent key raises '<missing> field "<key>"'."""
+    if key not in obj:
+        raise InvalidInputError(f"{missing} field \"{key}\"")
+    return obj[key]
+
+
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{name} must be an object with dim and entries")
-    if "dim" not in obj:
-        raise InvalidInputError(f"{name}: missing field \"dim\"")
-    if "entries" not in obj:
-        raise InvalidInputError(f"{name}: missing field \"entries\"")
-    dim = obj["dim"]
+    dim, entries = [_field(obj, key, f"{name}: missing")
+                    for key in ("dim", "entries")]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InvalidInputError(f"{name}: \"dim\" must be a positive integer")
-    entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim:
         raise InvalidInputError(f"{name}: \"entries\" must hold {dim} rows")
     out = np.empty((dim, dim), dtype=complex)
@@ -148,36 +151,27 @@ def povm_to_json(povm: quantum.POVM) -> dict:
     return {"elements": [matrix_to_json(e) for e in povm]}
 
 
+# the matrix fields of each family kind, in its constructor's order
+_FAMILY_FIELDS = {
+    "unitary": ("hamiltonian", "state"),
+    "non_hermitian": ("h", "gamma", "state"),
+    "lindblad": ("superop", "state"),
+    "thermal": ("hamiltonian",),
+}
+
+
 def family_from_json(obj, name: str = "family") -> quantum.ParametricFamily:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidInputError(f"{name} must be an object with \"kind\"")
     kind = obj["kind"]
-
-    def field(key: str):
-        if key not in obj:
-            raise InvalidInputError(
-                f"{name}: kind {kind!r} requires field \"{key}\""
-            )
-        return obj[key]
-
-    if kind == "unitary":
-        h = matrix_from_json(field("hamiltonian"), f"{name}.hamiltonian")
-        state = matrix_from_json(field("state"), f"{name}.state")
-        return quantum.ParametricFamily.unitary(h, state)
-    if kind == "non_hermitian":
-        h = matrix_from_json(field("h"), f"{name}.h")
-        gamma = matrix_from_json(field("gamma"), f"{name}.gamma")
-        state = matrix_from_json(field("state"), f"{name}.state")
-        return quantum.ParametricFamily.non_hermitian(h, gamma, state)
-    if kind == "lindblad":
-        sup = matrix_from_json(field("superop"), f"{name}.superop")
-        state = matrix_from_json(field("state"), f"{name}.state")
-        return quantum.ParametricFamily.lindblad(sup, state)
-    if kind == "thermal":
-        h = matrix_from_json(field("hamiltonian"), f"{name}.hamiltonian")
-        return quantum.ParametricFamily.thermal(h)
+    missing = f"{name}: kind {kind!r} requires"
+    if isinstance(kind, str) and kind in _FAMILY_FIELDS:
+        # each field is checked just before it is parsed
+        mats = [matrix_from_json(_field(obj, key, missing), f"{name}.{key}")
+                for key in _FAMILY_FIELDS[kind]]
+        return getattr(quantum.ParametricFamily, kind)(*mats)
     if kind == "table":
-        points = field("points")
+        points = _field(obj, "points", missing)
         if not isinstance(points, list) or len(points) < 3:
             raise InvalidInputError(
                 f"{name}: \"points\" must list at least 3 snapshots"
@@ -234,31 +228,28 @@ def load_partition(path: str):
     return partition_from_json(load_json(path))
 
 
+# the constructor and matrix fields of each --locals kind
+_LOCAL_KINDS = {
+    "hamiltonian": (matcore.Superoperator.from_hamiltonian, ("hamiltonian",)),
+    "non_hermitian": (matcore.Superoperator.from_non_hermitian, ("h", "gamma")),
+    "matrix": (matcore.Superoperator.from_matrix, ("matrix",)),
+}
+
+
 def _local_map(spec, name: str) -> matcore.Superoperator:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidInputError(f"{name} must be an object with \"kind\"")
     kind = spec["kind"]
-    if kind == "hamiltonian":
-        if "hamiltonian" not in spec:
-            raise InvalidInputError(f"{name}: missing field \"hamiltonian\"")
-        h = matrix_from_json(spec["hamiltonian"], f"{name}.hamiltonian")
-        return matcore.Superoperator.from_hamiltonian(h)
-    if kind == "non_hermitian":
-        for key in ("h", "gamma"):
-            if key not in spec:
-                raise InvalidInputError(f"{name}: missing field \"{key}\"")
-        h = matrix_from_json(spec["h"], f"{name}.h")
-        gamma = matrix_from_json(spec["gamma"], f"{name}.gamma")
-        return matcore.Superoperator.from_non_hermitian(h, gamma)
-    if kind == "matrix":
-        if "matrix" not in spec:
-            raise InvalidInputError(f"{name}: missing field \"matrix\"")
-        m = matrix_from_json(spec["matrix"], f"{name}.matrix")
-        return matcore.Superoperator.from_matrix(m)
-    raise InvalidInputError(
-        f"{name}: \"kind\" must be hamiltonian, non_hermitian, or matrix; "
-        f"got {kind!r}"
-    )
+    if not isinstance(kind, str) or kind not in _LOCAL_KINDS:
+        raise InvalidInputError(
+            f"{name}: \"kind\" must be hamiltonian, non_hermitian, or matrix; "
+            f"got {kind!r}"
+        )
+    build, keys = _LOCAL_KINDS[kind]
+    # every field is checked before any is parsed
+    values = [_field(spec, key, f"{name}: missing") for key in keys]
+    return build(*(matrix_from_json(v, f"{name}.{key}")
+                   for key, v in zip(keys, values)))
 
 
 def load_local_maps(path: str) -> list:
@@ -274,7 +265,18 @@ def load_local_maps(path: str) -> list:
 # -- report serialization ---------------------------------------------
 
 
-def _format_float(x: float) -> str:
+def _format_scalar(obj) -> str | None:
+    """The JSON text of a bool, None, int or float report value, and None
+    for any other value; CSV prints the same text without quotes."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if not isinstance(obj, (float, np.floating)):
+        return None
+    x = float(obj)
     if math.isnan(x):
         return '"nan"'
     if math.isinf(x):
@@ -301,14 +303,9 @@ def dump_report(obj, indent: int = 0) -> str:
             return "[" + ", ".join(items) + "]"
         inner = ",\n".join(f"{pad}  {s}" for s in items)
         return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+    text = _format_scalar(obj)
+    if text is not None:
+        return text
     if isinstance(obj, str):
         return json.dumps(obj)
     raise InvalidInputError(f"cannot serialize {type(obj).__name__} in a report")
@@ -321,16 +318,9 @@ def _flatten(obj, prefix: str, rows: list):
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _flatten(v, f"{prefix}[{i}]", rows)
-    elif isinstance(obj, bool):
-        rows.append((prefix, "true" if obj else "false"))
-    elif obj is None:
-        rows.append((prefix, "null"))
-    elif isinstance(obj, (int, np.integer)):
-        rows.append((prefix, str(int(obj))))
-    elif isinstance(obj, (float, np.floating)):
-        rows.append((prefix, _format_float(float(obj)).strip('"')))
     else:
-        rows.append((prefix, str(obj)))
+        text = _format_scalar(obj)
+        rows.append((prefix, str(obj) if text is None else text.strip('"')))
 
 
 def report_to_csv(obj) -> str:
