@@ -165,6 +165,27 @@ def laplace_location(scale: float = 1.0) -> ContinuousModel:
     )
 
 
+# -- sampling ---------------------------------------------------------
+
+
+def _require_replicas(trials, m, too_few="at least 100 replicas are needed"):
+    """(trials, m) as ints; fewer than 100 trials raises ``too_few``."""
+    trials, m = int(trials), int(m)
+    if trials < 100:
+        raise InvalidInputError(too_few)
+    if m < 1:
+        raise InvalidInputError("sample size m must be >= 1")
+    return trials, m
+
+
+def _draw(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome indices of the distribution p at uniforms u in [0, 1), by
+    inverting its cumulative sum."""
+    cum = np.cumsum(p)
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
+                      p.size - 1)
+
+
 # -- state discrimination ---------------------------------------------
 
 
@@ -199,12 +220,7 @@ def discrimination_game(rho, sigma, povm: quantum.POVM, trials: int,
     rng = generator(seed)
     u = rng.random((trials, 2))
     prepared_first = u[:, 0] < 0.5
-    cum_p = np.cumsum(p)
-    cum_q = np.cumsum(q)
-    outcome_p = np.searchsorted(cum_p, u[:, 1] * cum_p[-1], side="right")
-    outcome_q = np.searchsorted(cum_q, u[:, 1] * cum_q[-1], side="right")
-    outcomes = np.where(prepared_first, outcome_p, outcome_q)
-    outcomes = np.minimum(outcomes, len(p) - 1)
+    outcomes = np.where(prepared_first, _draw(p, u[:, 1]), _draw(q, u[:, 1]))
     success = guess_first[outcomes] == prepared_first
     return float(np.mean(success))
 
@@ -230,14 +246,8 @@ def median_check(model: ContinuousModel, estimator: Callable, theta: float,
     A median-unbiased estimator balances at one half; ``balanced`` is the
     3-sigma binomial verdict.
     """
-    trials = int(trials)
-    m = int(m)
-    if trials < 100:
-        raise InvalidInputError(
-            "at least 100 trials are needed for a 3-sigma balance verdict"
-        )
-    if m < 1:
-        raise InvalidInputError("sample size m must be >= 1")
+    trials, m = _require_replicas(
+        trials, m, "at least 100 trials are needed for a 3-sigma balance verdict")
     rng = generator(seed)
     samples = model.sample(theta, (trials, m), rng)
     estimates = np.array([float(estimator(samples[t])) for t in range(trials)])
@@ -304,12 +314,7 @@ def median_dispersion_vs_bound(model: ContinuousModel, theta: float, m: int,
     dispersion >= bound - 3 stderr, with the standard error propagated
     from the density estimate.
     """
-    trials = int(trials)
-    m = int(m)
-    if trials < 100:
-        raise InvalidInputError("at least 100 replicas are needed")
-    if m < 1:
-        raise InvalidInputError("sample size m must be >= 1")
+    trials, m = _require_replicas(trials, m)
     f1 = model.f1(theta)
     if not math.isfinite(f1) or f1 < 0:
         raise InvalidInputError(f"f_1 at theta is not finite: {f1}")
@@ -373,14 +378,6 @@ class CramerRaoReport:
         return asdict(self)
 
 
-def _discrete_replicas(dist, m: int, trials: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    p = np.clip(np.asarray(dist.weights, dtype=float), 0.0, None)
-    cum = np.cumsum(p)
-    u = rng.random((trials, m)) * cum[-1]
-    return np.minimum(np.searchsorted(cum, u, side="right"), p.size - 1)
-
-
 def cramer_rao_check(model_or_family, theta: float, estimator: Callable,
                      m: int, trials: int, seed: int = 0) -> CramerRaoReport:
     """Empirical Cramér-Rao check: variance >= 1 / (m f_2) - 3 stderr.
@@ -392,12 +389,7 @@ def cramer_rao_check(model_or_family, theta: float, estimator: Callable,
     The bias check is empirical; a biased or non-convergent run reports
     ``satisfied`` as None rather than asserting the bound.
     """
-    trials = int(trials)
-    m = int(m)
-    if trials < 100:
-        raise InvalidInputError("at least 100 replicas are needed")
-    if m < 1:
-        raise InvalidInputError("sample size m must be >= 1")
+    trials, m = _require_replicas(trials, m)
     rng = generator(seed)
     quantum_bound = None
     if isinstance(model_or_family, quantum.ParametricFamily):
@@ -407,7 +399,7 @@ def cramer_rao_check(model_or_family, theta: float, estimator: Callable,
         f2 = gen_fisher(induced, 2.0)
         big_f2 = quantum.qfi(fam, theta)
         quantum_bound = math.inf if big_f2 <= 0 else 1.0 / (m * big_f2)
-        samples = _discrete_replicas(induced, m, trials, rng)
+        samples = _draw(induced.weights, rng.random((trials, m)))
     else:
         model = model_or_family
         f2 = model.f2(theta)
