@@ -16,7 +16,7 @@ from qspeed.oracle import SearchConfig, brute_force_max, finite_diff_speed
 from qspeed.quantum import ParametricFamily
 from qspeed.seeding import generator
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
+from conftest import SZ, ghz, jz
 
 
 def unitary_family(dim: int, seed: int, index: int, pure: bool = False):
@@ -26,16 +26,6 @@ def unitary_family(dim: int, seed: int, index: int, pure: bool = False):
         return ParametricFamily.unitary(h, psi)
     rho = oracle.random_instance("density", dim, seed + 1, index)
     return ParametricFamily.unitary(h, rho)
-
-
-def jz(n_qubits: int) -> np.ndarray:
-    return bounds.collective_spin(n_qubits, [0.0, 0.0, 1.0]).operator
-
-
-def ghz(n_qubits: int) -> np.ndarray:
-    psi = np.zeros(2 ** n_qubits, dtype=complex)
-    psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
-    return psi
 
 
 def test_criterion_01():

@@ -15,34 +15,8 @@ from qspeed.errors import (DegenerateInputError, InvalidInputError,
 from qspeed.quantum import ParametricFamily
 from qspeed.seeding import generator
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
-PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-
-
-def haar_state(rng, dim):
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return psi / np.linalg.norm(psi)
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
-
-
-def random_density(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
-def jz(n_qubits):
-    return bounds.collective_spin(n_qubits, [0.0, 0.0, 1.0]).operator
-
-
-def ghz(n_qubits):
-    psi = np.zeros(2 ** n_qubits, dtype=complex)
-    psi[0] = psi[-1] = 1 / np.sqrt(2.0)
-    return psi
+from conftest import (PLUS, SZ, ghz, haar_state, jz, random_density,
+                      random_hermitian)
 
 
 # -- collective spin and embedding ------------------------------------

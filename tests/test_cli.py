@@ -15,6 +15,8 @@ from qspeed import classical, jsonio, oracle, quantum
 from qspeed.cli import main
 from qspeed.errors import NumericalConsistencyError
 
+from conftest import KINDS
+
 SQ8 = math.sqrt(1.0 / 8.0)
 
 
@@ -811,7 +813,6 @@ def test_package_names_are_looked_up_in_their_modules(monkeypatch):
 # -- golden reports ---------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_KINDS = ("unitary", "non_hermitian", "lindblad", "thermal", "table")
 
 
 def golden_family(kind, dim):
@@ -898,7 +899,7 @@ def _golden_cases():
     name."""
     speed = ["speed", "--theta", "0.37", "--family", "family.json", "--povm"]
     cases = {}
-    for kind in GOLDEN_KINDS:
+    for kind in KINDS:
         for dim in (2, 3):
             fam = partial(_golden_family_file, kind, dim)
             cases[f"speed-{kind}-d{dim}-qfi"] = (fam, speed + ["qfi"])

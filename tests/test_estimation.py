@@ -18,10 +18,7 @@ from qspeed.estimation import (ContinuousModel, cauchy_location,
                                quantum_median_bound, quantum_median_chain)
 from qspeed.quantum import POVM, ParametricFamily
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
-PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-Z0 = np.diag([1.0, 0.0]).astype(complex)
-PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
+from conftest import PLUS_RHO, SZ, Z0, plus_family
 
 MODELS = {
     "gaussian": gaussian_location,
@@ -35,10 +32,6 @@ BOUNDS = {
     "cauchy": math.pi / 2.0,
     "laplace": 1.0,
 }
-
-
-def plus_family():
-    return ParametricFamily.unitary(SZ / 2, PLUS)
 
 
 # -- continuous models ------------------------------------------------

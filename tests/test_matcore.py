@@ -14,13 +14,9 @@ from qspeed import matcore
 from qspeed.errors import InvalidInputError
 from qspeed.seeding import generator
 
+from conftest import SZ, random_hermitian
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
 
 
 def random_matrix(rng, dim):

@@ -15,16 +15,9 @@ from qspeed.oracle import (SearchConfig, brute_force_max, finite_diff_speed,
 from qspeed.quantum import ParametricFamily
 from qspeed.seeding import generator
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
-PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-Z0 = np.diag([1.0, 0.0]).astype(complex)
-PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
+from conftest import PLUS_RHO, Z0, plus_family
 
 FAST = SearchConfig(restarts=8, seed=0)
-
-
-def plus_family():
-    return ParametricFamily.unitary(SZ / 2, PLUS)
 
 
 def random_qubit_family(seed):

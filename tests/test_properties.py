@@ -9,8 +9,9 @@ from qspeed import oracle, quantum
 from qspeed.errors import InvalidInputError
 from qspeed.quantum import ParametricFamily
 
+from conftest import KINDS
+
 THETA = 0.37
-KINDS = ("unitary", "non_hermitian", "lindblad", "thermal", "table")
 
 
 def build_family(kind: str, dim: int, seed: int, pure: bool):

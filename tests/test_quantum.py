@@ -12,38 +12,17 @@ from qspeed.errors import (DegenerateInputError, InvalidInputError,
 from qspeed.quantum import POVM, ParametricFamily
 from qspeed.seeding import generator
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
-PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-
-
-def haar_state(rng, dim):
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return psi / np.linalg.norm(psi)
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
-
-
-def random_density(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+from conftest import (KINDS, PLUS, SZ, ghz, haar_state, random_density,
+                      random_hermitian)
 
 
 def jz(n_qubits):
+    # the diagonal built bit by bit, independent of bounds.collective_spin
     diag = []
     for idx in range(2 ** n_qubits):
         ones = bin(idx).count("1")
         diag.append((n_qubits - 2 * ones) / 2.0)
     return np.diag(diag).astype(complex)
-
-
-def ghz(n_qubits):
-    psi = np.zeros(2 ** n_qubits, dtype=complex)
-    psi[0] = psi[-1] = 1 / np.sqrt(2.0)
-    return psi
 
 
 # -- induced distributions --------------------------------------------
@@ -923,7 +902,6 @@ def test_family_rejects_bad_inputs():
 
 # -- immutable families -----------------------------------------------
 
-KINDS = ("unitary", "non_hermitian", "lindblad", "thermal", "table")
 
 
 def family_with_inputs(kind):
