@@ -530,6 +530,62 @@ def test_curve_length_additive():
     assert whole == pytest.approx(split, abs=1e-7)
 
 
+def thermal_bures_length(h, beta_start, beta_end):
+    """The Gibbs family's Bures length: its speed sqrt(Var_beta H / 8)
+    integrated by scipy's quad."""
+    import scipy.integrate
+
+    w = np.linalg.eigvalsh(h)
+
+    def speed(beta):
+        p = np.exp(-beta * (w - w.min()))
+        p /= p.sum()
+        mean = np.sum(p * w)
+        return np.sqrt(np.sum(p * (w - mean) ** 2) / 8.0)
+
+    value, _ = scipy.integrate.quad(speed, beta_start, beta_end,
+                                    epsabs=1e-13, epsrel=1e-13)
+    return value
+
+
+def counted_speeds(monkeypatch, limit=1000):
+    """The thetas at which curve_length evaluates a speed; past ``limit``
+    evaluations an assertion fails, so a quadrature that never stops fails
+    the test instead of hanging it."""
+    calls = []
+    speed = quantum.statistical_speed
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        assert len(calls) <= limit, "the quadrature does not stop"
+        return speed(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "statistical_speed", counted)
+    return calls
+
+
+def test_curve_length_bisects_a_varying_speed(monkeypatch):
+    # a Gibbs family's speed varies with beta, so the first Simpson step
+    # (five speeds) does not meet the tolerance and the interval is split
+    h = random_hermitian(generator(409), 3)
+    calls = counted_speeds(monkeypatch)
+    length = bounds.curve_length(ParametricFamily.thermal(h), 0.2, 2.0,
+                                 kind="bures")
+    assert len(calls) > 5
+    assert length == pytest.approx(thermal_bures_length(h, 0.2, 2.0),
+                                   abs=1e-8)
+
+
+def test_curve_length_raises_when_the_tolerance_is_out_of_reach(monkeypatch):
+    # the depth limit stops the bisection after about 2 * 48 speeds
+    fam = ParametricFamily.thermal(random_hermitian(generator(409), 3))
+    counted_speeds(monkeypatch)
+    with pytest.raises(NumericalConsistencyError,
+                       match="curve-length quadrature did not reach the "
+                             "requested tolerance"):
+        bounds.curve_length(fam, 0.2, 2.0, kind="bures", tol=0.0)
+
+
 # -- witness ----------------------------------------------------------
 
 
@@ -565,6 +621,22 @@ def test_witness_accepts_state_generator_pairs():
     assert report.verdict == "entangled"
     with pytest.raises(InvalidInputError):
         bounds.witness(np.outer(ghz(2), ghz(2).conj()), kind="ksep")
+
+
+def test_witness_on_a_bare_state_builds_the_family():
+    # an (h, gamma) pair builds the non-Hermitian family and a
+    # superoperator the Lindblad family of the state
+    rng = generator(410)
+    rho = random_density(rng, 4)
+    h, gamma = random_hermitian(rng, 4), 0.2 * random_density(rng, 4)
+    sup = matcore.Superoperator.from_hamiltonian(h)
+    for spec, fam in (((h, gamma), ParametricFamily.non_hermitian(h, gamma,
+                                                                  rho)),
+                      (sup, ParametricFamily.lindblad(sup, rho))):
+        for alpha in (1.0, 2.0):
+            assert bounds.witness(rho, spec, kind="ksep", alpha=alpha,
+                                  theta=0.3) == \
+                bounds.witness(fam, kind="ksep", alpha=alpha, theta=0.3)
 
 
 def test_witness_rejects_non_qubit_register():

@@ -82,6 +82,21 @@ def test_schatten_speed_does_not_increase_in_alpha(fam):
         assert lower <= higher * (1.0 + 1e-12)
 
 
+@settings(max_examples=100)
+@given(st.integers(2, 4), st.integers(0, 2 ** 31 - 1), st.booleans(),
+       st.floats(-40.0, 40.0))
+def test_unitary_speeds_do_not_depend_on_theta(dim, seed, pure, theta):
+    # drho(theta) = U_theta (-i[H, rho_0]) U_theta^dagger has the spectrum
+    # of drho(0), and rho(theta) that of rho_0
+    fam = build_family("unitary", dim, seed, pure)
+    speeds = (quantum.trace_speed, quantum.qfi,
+              lambda f, t: quantum.schatten_speed(f, t, 1.5),
+              lambda f, t: quantum.schatten_speed(f, t, 3.0))
+    for speed in speeds:
+        here, there = speed(fam, theta), speed(fam, 0.0)
+        assert abs(here - there) <= 1e-12 * there
+
+
 def draw_state(dim: int, seed: int, index: int, pure: bool):
     return oracle.random_instance("pure" if pure else "density", dim, seed,
                                   index)

@@ -835,6 +835,19 @@ def test_weak_value_fisher_matches_induced_distribution():
             pytest.approx(classical.gen_fisher(d, alpha), abs=1e-10)
 
 
+def test_weak_value_fisher_skips_an_outcome_of_zero_probability():
+    # psi has no weight on |2>, so that outcome has no weak value; the
+    # induced distribution is (numerically) zero there too
+    rng = generator(320)
+    psi = np.append(haar_state(rng, 2), 0.0)
+    h = random_hermitian(rng, 3)
+    povm = quantum.basis_povm(3)
+    d = quantum.induced_parametric(ParametricFamily.unitary(h, psi), 0.0, povm)
+    for alpha in (1.0, 2.0, 2.5):
+        assert quantum.weak_value_fisher(psi, h, povm, alpha) == \
+            pytest.approx(classical.gen_fisher(d, alpha), abs=1e-10)
+
+
 def test_weak_value_fisher_h_eigenbasis_is_zero():
     assert quantum.weak_value_fisher(PLUS, SZ / 2,
                                      quantum.basis_povm(2), 2.0) == \
@@ -887,6 +900,29 @@ def test_table_family_derivative():
     fam_t = ParametricFamily.table(points)
     assert np.allclose(fam_t.derivative_at(0.0), fam_u.derivative_at(0.0),
                        atol=1e-7)
+
+
+def test_table_family_derivative_within_its_truncation_error():
+    # on a unitary orbit the k-th derivative is (-i ad_H)^k rho, of
+    # operator norm at most (2 ||H||)^k.  The central difference at grid
+    # index 1 and n - 2 is then off by at most h^2/6 (2 ||H||)^3, and the
+    # Richardson step inside by at most h^4/18 (2 ||H||)^5
+    rng = generator(319)
+    h = random_hermitian(rng, 3)
+    h = h / np.linalg.norm(h, 2)
+    orbit = ParametricFamily.unitary(h, random_density(rng, 3))
+    step = 0.05
+    grid = 0.37 + step * np.arange(-3, 4)
+    table = ParametricFamily.table([(t, orbit.state_at(t)) for t in grid])
+
+    def error(theta):
+        return np.linalg.norm(table.derivative_at(theta)
+                              - orbit.derivative_at(theta), 2)
+
+    for theta in (grid[1], grid[-2]):
+        assert error(theta) <= step ** 2 / 6 * 2.0 ** 3
+    for theta in grid[2:-2]:
+        assert error(theta) <= step ** 4 / 18 * 2.0 ** 5
 
 
 def test_family_rejects_bad_inputs():
