@@ -151,7 +151,8 @@ def povm_to_json(povm: quantum.POVM) -> dict:
     return {"elements": [matrix_to_json(e) for e in povm]}
 
 
-# the matrix fields of each family kind, in its constructor's order
+# the matrix fields of each family kind, in the order that the
+# constructor ParametricFamily.<kind> takes them
 _FAMILY_FIELDS = {
     "unitary": ("hamiltonian", "state"),
     "non_hermitian": ("h", "gamma", "state"),
