@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -532,56 +532,26 @@ def spin_squeezing_xi(rho, n_qubits: int, directions, beta: float = 2.0) -> floa
 
 # -- curve length -----------------------------------------------------
 
-# bisection levels the adaptive Simpson rule may take below the interval
-_MAX_DEPTH = 48
-
-
-def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                      tol: float) -> float:
-    fa, fb = fn(a), fn(b)
-    m = 0.5 * (a + b)
-    fm = fn(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(fn, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
-
-
-def _simpson_step(fn, a, b, fa, fm, fb, whole, tol, depth) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise NumericalConsistencyError(
-            "curve-length quadrature did not reach the requested tolerance"
-        )
-    half = 0.5 * tol
-    return (_simpson_step(fn, a, m, fa, flm, fm, left, half, depth - 1)
-            + _simpson_step(fn, m, b, fm, frm, fb, right, half, depth - 1))
-
-
 def curve_length(fam: quantum.ParametricFamily, theta_start: float,
                  theta_end: float, kind: str = "bures",
                  alpha: float = 2.0, *, tol: float = 1e-8) -> float:
     """Length of the state path: the chosen speed integrated over theta.
 
-    Adaptive Simpson quadrature to absolute tolerance 1e-8 by default;
-    raises when the recursion cannot reach the tolerance.
+    QUADPACK quadrature to absolute tolerance ``tol`` (1e-8 by default),
+    which must be positive and finite; raises NumericalConsistencyError
+    when the quadrature cannot reach it.
     """
     a, b = float(theta_start), float(theta_end)
     if not a <= b:
         raise InvalidInputError("interval must satisfy theta_start <= theta_end")
+    tol = float(tol)
+    if not 0 < tol < math.inf:
+        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
     if a == b:
         return 0.0
-
-    def speed(t: float) -> float:
-        return quantum.statistical_speed(fam, t, kind=kind, alpha=alpha)
-
-    return float(_adaptive_simpson(speed, a, b, tol))
+    return matcore.integrate(
+        lambda t: quantum.statistical_speed(fam, t, kind=kind, alpha=alpha),
+        a, b, tol, 0.0, "curve-length quadrature")
 
 
 # -- witness plumbing -------------------------------------------------

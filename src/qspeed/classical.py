@@ -288,6 +288,11 @@ def mixture_dist(dists, weights) -> ParametricDist:
     weights = np.asarray(weights, dtype=float)
     if sum_violation(weights, 1.0) or np.min(weights) < 0:
         raise InvalidInputError("mixture weights must be a probability vector")
+    if weights.shape != (len(dists),):
+        raise InvalidInputError(
+            f"{weights.size} mixture weights for {len(dists)} distributions")
+    for d in dists[1:]:
+        _check_pair(dists[0].weights, d.weights)
     w = sum(q * d.weights for q, d in zip(weights, dists))
     dw = sum(q * d.derivative for q, d in zip(weights, dists))
     return ParametricDist(w, dw)

@@ -20,6 +20,7 @@ from .errors import InvalidInputError, NumericalConsistencyError
 from .seeding import generator
 
 _NORM_TOL = 1e-6
+_QUAD_RTOL = 1e-10
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -46,11 +47,23 @@ class ContinuousModel:
     name: str = "model"
 
     def __post_init__(self):
-        total = _split_quad(lambda x: self.pdf(x, 0.0), 0.0)
+        total = self._integral(lambda x: self.pdf(x, 0.0), 0.0)
         if abs(total - 1.0) > _NORM_TOL:
             raise InvalidInputError(
                 f"density of {self.name!r} integrates to {total:.8g}, not 1"
             )
+
+    def _integral(self, fn, theta: float) -> float:
+        """Integral of fn(x) over the real line, split at theta, where a
+        location family may be kinked.  It runs in x = theta + w v, with
+        w = 1 / p(theta | theta) the density's own width (1 where that is
+        not a positive finite float), so no integral depends on the scale."""
+        p = float(self.pdf(theta, theta))
+        w = 1.0 / p if 0 < p < math.inf and 1.0 / p < math.inf else 1.0
+        return sum(matcore.integrate(
+            lambda v: w * fn(theta + w * v), lo, hi, 0.0, _QUAD_RTOL,
+            f"the quadrature of {self.name!r}")
+            for lo, hi in ((-math.inf, 0.0), (0.0, math.inf)))
 
     def sample(self, theta: float, shape, rng: np.random.Generator) -> np.ndarray:
         return np.asarray(self.sampler(theta, shape, rng), dtype=float)
@@ -65,7 +78,7 @@ class ContinuousModel:
         """Integral of |dp/dtheta|, the alpha = 1 Fisher-type information."""
         if self.f1_analytic is not None:
             return float(self.f1_analytic(theta))
-        return _split_quad(lambda x: np.abs(self._dpdf(x, theta)), theta)
+        return self._integral(lambda x: np.abs(self._dpdf(x, theta)), theta)
 
     def f2(self, theta: float) -> float:
         """The Fisher information, integral of (dp/dtheta)^2 / p."""
@@ -79,18 +92,7 @@ class ContinuousModel:
             d = self._dpdf(x, theta)
             return d * d / p
 
-        return _split_quad(integrand, theta)
-
-
-def _split_quad(fn, breakpoint: float) -> float:
-    # scipy is imported here, not at module level, so that only processes
-    # that integrate a continuous model pay its start-up cost
-    import scipy.integrate
-
-    # split at the parameter value, where location families may be kinked
-    left, _ = scipy.integrate.quad(fn, -np.inf, breakpoint, limit=200)
-    right, _ = scipy.integrate.quad(fn, breakpoint, np.inf, limit=200)
-    return float(left + right)
+        return self._integral(integrand, theta)
 
 
 def _require_scale(value: float, name: str) -> None:
@@ -196,8 +198,7 @@ def discrimination_probability(rho, sigma) -> float:
 
 def discrimination_povm(rho, sigma) -> quantum.POVM:
     """The optimal two-outcome measurement: the positive-part projector of rho - sigma."""
-    rho = matcore.require_density(rho, "rho")
-    sigma = matcore.require_density(sigma, "sigma")
+    rho, sigma = matcore.require_states(rho, sigma)
     _, _, e_plus, _ = matcore.jordan_hahn(rho - sigma)
     return quantum.POVM([e_plus, np.eye(rho.shape[0]) - e_plus])
 

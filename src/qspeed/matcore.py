@@ -134,6 +134,15 @@ def require_density(rho, name: str = "rho") -> np.ndarray:
     return rho
 
 
+def require_states(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two density matrices of one dimension."""
+    rho = require_density(rho, "rho")
+    sigma = require_density(sigma, "sigma")
+    if rho.shape != sigma.shape:
+        raise InvalidInputError("states have different dimensions")
+    return rho, sigma
+
+
 def require_h_gamma(h, gamma) -> tuple[np.ndarray, np.ndarray]:
     """Validate the Hermitian pair of a generator H_eff = H - i Gamma."""
     h = require_hermitian(h, "H")
@@ -286,6 +295,22 @@ def golden_rows(fn, a: np.ndarray, b: np.ndarray,
                               np.where(left, fc, ft))
     t = 0.5 * (a + b)
     return t, fn(t)
+
+
+def integrate(fn, a: float, b: float, epsabs: float, epsrel: float,
+              what: str) -> float:
+    """QUADPACK's integral of fn over [a, b], whose ends may be infinite.
+    A failure that QUADPACK reports, or a value that is not finite, raises
+    NumericalConsistencyError, so no IntegrationWarning is printed."""
+    # imported here, so that only processes that integrate pay for scipy
+    import scipy.integrate
+
+    out = scipy.integrate.quad(fn, a, b, epsabs=epsabs, epsrel=epsrel,
+                               limit=200, full_output=1)
+    if len(out) > 3 or not math.isfinite(out[0]):  # out[3]: QUADPACK's failure
+        raise NumericalConsistencyError(
+            f"{what} did not reach the requested tolerance")
+    return float(out[0])
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

@@ -221,9 +221,9 @@ def _resolve_inputs(fam, theta: float, objective: str, partner):
             raise InvalidInputError(
                 f"the {objective} objective needs a partner state"
             )
-        rho = fam.state_at(theta) if isinstance(fam, quantum.ParametricFamily) \
-            else matcore.require_density(fam)
-        return rho, matcore.require_density(partner)
+        rho = (fam.state_at(theta)
+               if isinstance(fam, quantum.ParametricFamily) else fam)
+        return matcore.require_states(rho, partner)
     raise InvalidInputError(
         f"objective must be one of {_OBJECTIVES}, got {objective!r}"
     )

@@ -27,7 +27,8 @@ from .matcore import (P_FLOOR, Superoperator, as_matrix, frozen,
                       hermiticity_defect, hermitian_part, positivity_violation,
                       power_mean, power_sum, require_alpha, require_density,
                       require_finite_alpha, require_h_gamma, require_hermitian,
-                      require_state, schatten_norm, unvec, vec, zero_tol)
+                      require_state, require_states, schatten_norm, unvec, vec,
+                      zero_tol)
 
 COMPLETENESS_TOL = 1e-9
 
@@ -375,18 +376,10 @@ def induced_parametric(fam: ParametricFamily, theta: float, povm: POVM) -> Param
 # -- distances --------------------------------------------------------
 
 
-def _require_states(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    rho = require_density(rho, "rho")
-    sigma = require_density(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise InvalidInputError("states have different dimensions")
-    return rho, sigma
-
-
 def _state_roots(rho, sigma) -> list[np.ndarray]:
     """[sqrt(rho), sqrt(sigma)] of two validated states."""
     roots = []
-    for x in _require_states(rho, sigma):
+    for x in require_states(rho, sigma):
         w, v = np.linalg.eigh(x)
         roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
     return roots
@@ -419,14 +412,14 @@ def bures_distance(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """D_1(rho, sigma) = (1/2)||rho - sigma||_1."""
-    rho, sigma = _require_states(rho, sigma)
+    rho, sigma = require_states(rho, sigma)
     return 0.5 * schatten_norm(rho - sigma, 1)
 
 
 def schatten_distance(rho, sigma, alpha: float) -> float:
     """SD_alpha(rho, sigma) = ((1/2) Tr|rho - sigma|^alpha)^(1/alpha)."""
     require_alpha(alpha)
-    rho, sigma = _require_states(rho, sigma)
+    rho, sigma = require_states(rho, sigma)
     return float(0.5 ** (1.0 / alpha) * schatten_norm(rho - sigma, alpha))
 
 
@@ -659,6 +652,10 @@ def weak_value_fisher(psi, h, povm: POVM, alpha: float = 2.0) -> float:
     require_finite_alpha(alpha, "f_alpha")
     psi = require_state(psi)
     h = require_hermitian(h, "H")
+    if h.shape[0] != psi.size:
+        raise InvalidInputError("state and H dimensions differ")
+    if povm.dim != psi.size:
+        raise InvalidInputError("state dimension does not match POVM")
     weights, im = [], []
     for k, e in enumerate(povm):
         if float(np.max(np.abs(e @ e - e))) > 1e-8:

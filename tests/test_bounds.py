@@ -565,8 +565,8 @@ def counted_speeds(monkeypatch, limit=1000):
 
 
 def test_curve_length_bisects_a_varying_speed(monkeypatch):
-    # a Gibbs family's speed varies with beta, so the first Simpson step
-    # (five speeds) does not meet the tolerance and the interval is split
+    # a Gibbs family's speed varies with beta, so one 5-point rule cannot
+    # meet the tolerance; QUADPACK's first 21-point Gauss-Kronrod rule does
     h = random_hermitian(generator(409), 3)
     calls = counted_speeds(monkeypatch)
     length = bounds.curve_length(ParametricFamily.thermal(h), 0.2, 2.0,
@@ -577,13 +577,23 @@ def test_curve_length_bisects_a_varying_speed(monkeypatch):
 
 
 def test_curve_length_raises_when_the_tolerance_is_out_of_reach(monkeypatch):
-    # the depth limit stops the bisection after about 2 * 48 speeds
+    # QUADPACK detects roundoff that keeps it from 1e-300 (after 483 speeds)
     fam = ParametricFamily.thermal(random_hermitian(generator(409), 3))
     counted_speeds(monkeypatch)
     with pytest.raises(NumericalConsistencyError,
                        match="curve-length quadrature did not reach the "
                              "requested tolerance"):
-        bounds.curve_length(fam, 0.2, 2.0, kind="bures", tol=0.0)
+        bounds.curve_length(fam, 0.2, 2.0, kind="bures", tol=1e-300)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_curve_length_rejects_a_tolerance_that_is_not_positive_finite(
+        monkeypatch, tol):
+    fam = ParametricFamily.thermal(random_hermitian(generator(409), 3))
+    calls = counted_speeds(monkeypatch)
+    with pytest.raises(InvalidInputError, match="tol must be positive"):
+        bounds.curve_length(fam, 0.2, 2.0, kind="bures", tol=tol)
+    assert calls == []
 
 
 # -- witness ----------------------------------------------------------

@@ -176,6 +176,19 @@ def test_fisher_convexity_under_mixing(seed):
         assert classical.gen_fisher(mix, alpha) <= bound + 1e-10
 
 
+def test_mixture_needs_one_weight_per_distribution_over_one_outcome_set():
+    # zip truncated the weights, so [d1, d2] with [1.0] returned d1, and
+    # distributions of different lengths raised numpy's broadcast error
+    rng = generator(206)
+    a, b, c = random_pdist(rng, 3), random_pdist(rng, 3), random_pdist(rng, 4)
+    with pytest.raises(InvalidInputError,
+                       match="1 mixture weights for 2 distributions"):
+        classical.mixture_dist([a, b], [1.0])
+    with pytest.raises(InvalidInputError,
+                       match="distributions have different lengths 3 and 4"):
+        classical.mixture_dist([a, c], [0.5, 0.5])
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_fisher_subadditivity_on_products(seed):
     rng = generator(205, seed)

@@ -559,6 +559,34 @@ def test_estimate_rejects_a_subnormal_square_scale(capsys, model):
     assert err.count("\n") == 1 and "normal float square" in err
 
 
+@pytest.mark.parametrize("scale", ["1e-6", "1e6"])
+def test_estimate_model_at_a_far_scale_warns_nothing(scale):
+    # the density was integrated in units of 1: at 1e-6 quad saw only zeros
+    # and at 1e6 its IntegrationWarnings reached stderr, and both exited 2
+    proc = run_process(["estimate", "--model", "gaussian", "--scale", scale,
+                        "--m", "21", "--trials", "200"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # reports carry 12 significant digits
+    assert json.loads(proc.stdout)["bound"] == pytest.approx(
+        math.sqrt(math.pi / 2.0) * float(scale), rel=1e-11)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--rho", "a.json", "--sigma", "b.json"],
+    ["oracle", "--objective", "d_alpha", "--state", "a.json", "--partner",
+     "b.json"],
+    ["oracle", "--objective", "sd_alpha", "--state", "a.json", "--partner",
+     "b.json"]], ids=["estimate", "d_alpha", "sd_alpha"])
+def test_state_pair_of_two_dimensions_exits_2(tmp_path, capsys, monkeypatch,
+                                              argv):
+    # numpy's broadcast or matmul error escaped as a traceback with exit 1
+    write(tmp_path, "a.json", Z0)
+    write(tmp_path, "b.json", matrix_json(np.eye(3) / 3))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, argv) == (
+        2, "", "qspeed: error: states have different dimensions\n")
+
+
 def test_estimate_requires_model_or_pair(capsys):
     code, _, err = run(capsys, ["estimate"])
     assert code == 2

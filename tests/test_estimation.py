@@ -2,9 +2,12 @@
 dispersion against 1/f_1, and empirical Cramér-Rao verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspeed import estimation, oracle, quantum
 from qspeed.classical import gen_fisher
@@ -47,11 +50,31 @@ def test_model_analytic_fisher_values(name):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_quadrature_matches_analytic(name):
-    base = MODELS[name](1.0)
-    blind = ContinuousModel(pdf=base.pdf, sampler=base.sampler,
-                            dpdf=base.dpdf, name=name + "-quad")
-    assert blind.f1(0.0) == pytest.approx(base.f1(0.0), rel=1e-6)
-    assert blind.f2(0.0) == pytest.approx(base.f2(0.0), rel=1e-6)
+    # the integrals ran in units of 1, so a gaussian of width 1e-8
+    # integrated to 0 and one of width 1e8 to -8e-9, with IntegrationWarnings
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        base = MODELS[name](scale)
+        blind = ContinuousModel(pdf=base.pdf, sampler=base.sampler,
+                                dpdf=base.dpdf, name=name + "-quad")
+        assert blind.f1(0.0) == pytest.approx(base.f1(0.0), rel=1e-6)
+        assert blind.f2(0.0) == pytest.approx(base.f2(0.0), rel=1e-6)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(MODELS)), st.integers(-150, 150))
+def test_median_dispersion_scales_with_the_model(name, exponent):
+    # every quadrature of a model runs in the density's own width, so a
+    # scale of 10^exponent only rescales the check
+    scale = 10.0 ** exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = MODELS[name](scale)
+    unit = median_dispersion_vs_bound(MODELS[name](1.0), 0.0, 5, 100, seed=7)
+    got = median_dispersion_vs_bound(model, 0.0, 5, 100, seed=7)
+    for field in ("dispersion", "bound", "stderr"):
+        assert getattr(got, field) / scale == pytest.approx(
+            getattr(unit, field), rel=1e-12)
+    assert got.satisfied == unit.satisfied
 
 
 def test_model_finite_difference_derivative_fallback():

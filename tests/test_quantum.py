@@ -848,6 +848,16 @@ def test_weak_value_fisher_skips_an_outcome_of_zero_probability():
             pytest.approx(classical.gen_fisher(d, alpha), abs=1e-10)
 
 
+def test_weak_value_fisher_checks_dimensions():
+    # numpy's matmul raised a ValueError on either mismatch
+    with pytest.raises(InvalidInputError,
+                       match="state and H dimensions differ"):
+        quantum.weak_value_fisher(PLUS, np.eye(3), quantum.basis_povm(2))
+    with pytest.raises(InvalidInputError,
+                       match="state dimension does not match POVM"):
+        quantum.weak_value_fisher(PLUS, SZ, quantum.basis_povm(3))
+
+
 def test_weak_value_fisher_h_eigenbasis_is_zero():
     assert quantum.weak_value_fisher(PLUS, SZ / 2,
                                      quantum.basis_povm(2), 2.0) == \
