@@ -31,9 +31,16 @@ _GRID_S2 = np.array([math.sin(2 * t) for t in _GRID])
 _SPACING = math.pi / 25
 
 # a Givens move or a sweep must raise a restart's total by more than
-# _STEP_TOL to count; a restart stops after _MAX_SWEEPS sweeps at most
+# _STEP_TOL·min(1, total) to count, so the test scales with totals below 1;
+# a restart stops after _MAX_SWEEPS sweeps at most
 _STEP_TOL = 1e-12
 _MAX_SWEEPS = 60
+
+# golden-section brackets of a Givens move: where the pair total is smooth
+# at its maximum, a coarse bracket and one parabolic step find it; at a
+# cusp only the fine bracket does
+_COARSE_TOL = 1e-3
+_FINE_TOL = 1e-8
 
 # restarts advance together as one stack of rows, at most this many at a
 # time, so memory stays O(_BLOCK d^2) for any restart count
@@ -240,13 +247,18 @@ def _total(cells: np.ndarray, use_max: bool) -> np.ndarray:
     return total
 
 
+def _step_tol(total: np.ndarray) -> np.ndarray:
+    return _STEP_TOL * np.minimum(1.0, total)
+
+
 def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
-                 cell, use_max: bool) -> None:
+                 cell, use_max: bool, smooth: bool) -> None:
     """One Givens move on the pair (i, j) at one phase, for every row.
 
     Scans the angle grid, refines the best grid point by golden section
-    and applies the rotation to the rows whose total it raises by more
-    than ``_STEP_TOL``; updates the arrays in place.
+    (to ``_COARSE_TOL`` plus one parabolic step where ``smooth``, else to
+    ``_FINE_TOL``) and applies the rotation to the rows whose total it
+    raises by more than ``_step_tol``; updates the arrays in place.
     """
     w = 1.0 if phase == 0.0 else -1j
     ma = 0.5 * (a[:, i, i].real + a[:, j, j].real)[:, None]
@@ -277,13 +289,14 @@ def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
     t0 = _GRID[kbest][:, None]
     t_star, v_star = golden_rows(
         lambda t: pair_total(np.cos(2 * t), np.sin(2 * t)),
-        t0 - _SPACING, t0 + _SPACING, 1e-8,
+        t0 - _SPACING, t0 + _SPACING, _COARSE_TOL if smooth else _FINE_TOL,
+        parabolic=smooth,
     )
     t_star, v_star = t_star[:, 0], v_star[:, 0]
     grid_wins = v0 > v_star
     t_star = np.where(grid_wins, _GRID[kbest], t_star)
     v_star = np.where(grid_wins, v0, v_star)
-    rows = np.flatnonzero(v_star > total + _STEP_TOL)
+    rows = np.flatnonzero(v_star > total + _step_tol(total))
     if not rows.size:
         return
     c, s = np.cos(t_star[rows]), np.sin(t_star[rows])
@@ -306,8 +319,8 @@ def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
     total[rows] = _total(cells[rows], use_max)
 
 
-def _search_block(rho, x, starts, seed: int, cell,
-                  use_max: bool) -> tuple[np.ndarray, np.ndarray]:
+def _search_block(rho, x, starts, seed: int, cell, use_max: bool,
+                  smooth: bool) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate ascent from the given restarts, run as one stack.
 
     Returns each restart's final total and unitary.
@@ -329,8 +342,8 @@ def _search_block(rho, x, starts, seed: int, cell,
         for (i, j) in pairs:
             for phase in (0.0, math.pi / 2):
                 _givens_move(a, b, u, cells, total, gain, i, j, phase, cell,
-                             use_max)
-        done = gain <= _STEP_TOL
+                             use_max, smooth)
+        done = gain <= _step_tol(total)
         if done.any():
             final_total[ids[done]] = total[done]
             final_u[ids[done]] = u[done]
@@ -372,6 +385,13 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
         )
     cell = _make_cell(objective, alpha)
     use_max = math.isinf(alpha)
+    # the pair total is smooth at its maximum for sf_alpha at finite alpha
+    # and f_alpha at alpha <= 2.  Elsewhere it can peak at a kink (the
+    # cusp of q^(1/alpha) at q = 0 in d_alpha, the max at alpha = inf) or
+    # grow without bound (f_alpha above alpha = 2 on pure states), so
+    # those searches, and sd_alpha's, keep the fine bracket
+    smooth = ((objective == "sf_alpha" and not use_max)
+              or (objective == "f_alpha" and alpha <= 2))
     restarts = int(cfg.restarts)
     best_total = -math.inf
     best_u = np.eye(dim, dtype=complex)
@@ -379,7 +399,7 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
         starts = range(lo, min(lo + _BLOCK, restarts))
         with np.errstate(over="ignore", invalid="ignore"):
             totals, us = _search_block(rho, x, starts, cfg.seed, cell,
-                                       use_max)
+                                       use_max, smooth)
         if not np.all(np.isfinite(totals)):
             raise NumericalConsistencyError(
                 f"the {objective} search exceeds the float range at "

@@ -939,6 +939,10 @@ def _golden_cases():
          "0.37", "--restarts", "8", "--seed", "3", "--povm", "--family",
          "family.json"])
     oracle_argv = ["oracle", "--restarts", "4", "--seed", "3", "--objective"]
+    cases["oracle-sf_alpha-alpha700"] = (
+        lambda: {"family.json": PLUS_FAMILY},
+        oracle_argv + ["sf_alpha", "--alpha", "700", "--theta", "0.3",
+                       "--family", "family.json"])
     for objective, alpha in (("f_alpha", "1"), ("f_alpha", "1.5"),
                              ("sf_alpha", "3")):
         cases[f"oracle-{objective}-alpha{alpha}"] = (

@@ -246,6 +246,34 @@ def test_search_attains_hellinger_distance():
     assert value <= target + 1e-9
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_search_attains_bures_distance_against_pure_partners(dim):
+    # a pure partner puts a zero probability on the search's path, where
+    # q^(1/2) has a cusp: a coarse golden section with a parabolic finish
+    # falls short there by up to 1.2e-5, so d_alpha keeps the fine bracket
+    cfg = SearchConfig(restarts=32, seed=0)
+    for index in range(6):
+        rho = random_instance("density", dim, 77, index)
+        psi = random_instance("pure", dim, 78, index)
+        sigma = np.outer(psi, psi.conj())
+        value, _ = brute_force_max(rho, 0.0, "d_alpha", 2.0, cfg=cfg,
+                                   partner=sigma)
+        target = quantum.bures_distance(rho, sigma)
+        assert value == pytest.approx(target, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [40.0, 100.0, 700.0])
+def test_search_attains_schatten_speed_at_large_alpha(alpha):
+    # sf_alpha totals scale as max|x|^alpha; an absolute step test of
+    # 1e-12 let no move count from alpha ~ 40, leaving the search up to
+    # 2.2% short of the closed form
+    fam = plus_family()
+    cfg = SearchConfig(restarts=4, seed=3)
+    value, _ = brute_force_max(fam, 0.3, "sf_alpha", alpha, cfg=cfg)
+    target = quantum.schatten_speed(fam, 0.3, alpha)
+    assert value == pytest.approx(target, rel=1e-12)
+
+
 def test_search_attains_schatten_distances():
     for alpha, target in ((1.0, 1.0 / math.sqrt(2.0)),
                           (2.0, 1.0 / math.sqrt(2.0)),
