@@ -263,14 +263,19 @@ def test_search_attains_bures_distance_against_pure_partners(dim):
 
 
 @pytest.mark.parametrize("alpha", [40.0, 100.0, 700.0])
-def test_search_attains_schatten_speed_at_large_alpha(alpha):
-    # sf_alpha totals scale as max|x|^alpha; an absolute step test of
-    # 1e-12 let no move count from alpha ~ 40, leaving the search up to
-    # 2.2% short of the closed form
+def test_search_attains_schatten_measures_at_large_alpha(alpha):
+    # the totals scale as max|x|^alpha; an absolute step test of 1e-12
+    # let no move count from alpha ~ 40, leaving sf_alpha up to 2.2% and
+    # sd_alpha up to 10% short of the closed form
     fam = plus_family()
     cfg = SearchConfig(restarts=4, seed=3)
     value, _ = brute_force_max(fam, 0.3, "sf_alpha", alpha, cfg=cfg)
     target = quantum.schatten_speed(fam, 0.3, alpha)
+    assert value == pytest.approx(target, rel=1e-12)
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    value, _ = brute_force_max(rho, 0.0, "sd_alpha", alpha, cfg=cfg,
+                               partner=PLUS_RHO)
+    target = quantum.schatten_distance(rho, PLUS_RHO, alpha)
     assert value == pytest.approx(target, rel=1e-12)
 
 
