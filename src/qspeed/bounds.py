@@ -129,10 +129,13 @@ def bhatia_davis_bound(h, rho) -> float:
 # -- induced superoperator norm ---------------------------------------
 
 
-# A restart stops once a step raises its value by at most _GAIN_TOL of it,
-# or after _MAX_ITERS steps.  Restarts advance _BLOCK rows at a time.
-_MAX_ITERS = 1000
+# A restart stops once a plain step raises its value by at most _GAIN_TOL
+# of it, or after _MAX_ROUNDS rounds.  An extrapolation goes at most
+# _MAX_STRIDE times as far as the plain steps it extends.  Restarts
+# advance _BLOCK rows at a time.
+_MAX_ROUNDS = 300
 _GAIN_TOL = 1e-12
+_MAX_STRIDE = 1e4
 _BLOCK = 256
 
 
@@ -159,6 +162,17 @@ def _dual(m: np.ndarray, psi: np.ndarray, alpha: float):
     return value, s
 
 
+def _ascend(m: np.ndarray, psi: np.ndarray, s: np.ndarray, alpha: float):
+    """One step from each row psi with dual s: the top eigenvector of
+    herm L^dag[S], in phase with psi, with its value and dual."""
+    # L^dag[S] = unvec(M^dag vec S), by rows
+    adj = s.swapaxes(1, 2).reshape(len(s), -1) @ m.conj()
+    adj = adj.reshape(s.shape).swapaxes(1, 2)
+    step = np.linalg.eigh(matcore.hermitian_part(adj))[1][:, :, -1]
+    step *= np.exp(-1j * np.angle(np.sum(psi.conj() * step, axis=1)))[:, None]
+    return (step, *_dual(m, step, alpha))
+
+
 def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
                  seed: int = 0) -> SuperopNorm:
     """Induced norm sup ||L[|psi><psi|]||_alpha over unit vectors psi.
@@ -168,10 +182,13 @@ def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
     stack, on M divided exactly by a power of two: a step moves each state
     to the top eigenvector of herm L^dag[S], S the dual of its image (see
     _dual).  That state maximizes Tr{S L[rho]} <= ||L[rho]||_alpha (Hölder),
-    so a move never lowers the value; it is kept only where the value
-    rises.  The returned value is attained by the returned state, hence a
+    so a move never lowers the value.  A round takes two steps, then one
+    more from each of two SQUAREM extrapolations of them (Varadhan and
+    Roland 2008), which cuts the hundreds of steps of a slow ascent to
+    tens; each row moves to the best of the four where that beats its
+    value.  The returned value is attained by the returned state, hence a
     certified lower bound on the supremum; ``converged`` is False when the
-    best run only stopped at the iteration cap.  Deterministic for a fixed
+    best run only stopped at the round cap.  Deterministic for a fixed
     seed.
     """
     require_alpha(alpha)
@@ -193,15 +210,29 @@ def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
         psi = z[:, :dim] + 1j * z[:, dim:]
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         val, s = _dual(m, psi, alpha)
-        live = np.ones(len(psi), dtype=bool)
-        for _ in range(_MAX_ITERS):
-            # L^dag[S] = unvec(M^dag vec S), by rows
-            adj = s.swapaxes(1, 2).reshape(len(s), -1) @ m.conj()
-            adj = adj.reshape(s.shape).swapaxes(1, 2)
-            cand = np.linalg.eigh(matcore.hermitian_part(adj))[1][:, :, -1]
-            cval, cs = _dual(m, cand, alpha)
+        n = len(psi)
+        live, rows = np.ones(n, dtype=bool), np.arange(n)
+        for _ in range(_MAX_ROUNDS):
+            x1, v1, s1 = _ascend(m, psi, s, alpha)
+            x2, v2, s2 = _ascend(m, x1, s1, alpha)
+            # SQUAREM: extrapolate the two steps by the stride a that
+            # cancels their linear rate, and by a/2 where a overshoots;
+            # then step once from each
+            r, q = x1 - psi, x2 - 2.0 * x1 + psi
+            nq = np.linalg.norm(q, axis=1)
+            a = np.clip(np.linalg.norm(r, axis=1) / np.where(nq > 0, nq, np.inf),
+                        1.0, _MAX_STRIDE)
+            a = np.maximum(np.array([[1.0], [0.5]]) * a, 1.0)[:, :, None]
+            xe = (psi + 2.0 * a * r + a * a * q).reshape(-1, dim)
+            xe /= np.linalg.norm(xe, axis=1)[:, None]
+            x3, v3, s3 = _ascend(m, xe, _dual(m, xe, alpha)[1], alpha)
+            vals = np.concatenate([v1, v2, v3])
+            pick = np.argmax(vals.reshape(-1, n), axis=0) * n + rows
+            cand = np.concatenate([x1, x2, x3])[pick]
+            cs = np.concatenate([s1, s2, s3])[pick]
+            cval = vals[pick]
             up = live & (cval > val)
-            live &= cval - val > _GAIN_TOL * cval
+            live &= v1 - val > _GAIN_TOL * v1
             psi[up], val[up], s[up] = cand[up], cval[up], cs[up]
             if not live.any():
                 break
