@@ -195,7 +195,7 @@ def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
     restarts = int(restarts)
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
-    dim, scale = op.dim, _pow2_scale(op.matrix)
+    dim, scale = op.dim, matcore.pow2_scale(op.matrix)
     m = op.matrix / scale  # exact; no norm of m overflows
     defect = op.hermiticity_preservation_defect()
     if defect > 1e-9 * max(scale * float(np.linalg.norm(m)), 1.0):
@@ -281,12 +281,6 @@ def _dephasing_min_norm(h: np.ndarray, gamma: np.ndarray) -> tuple[float, float]
     return math.sqrt(y0), r0
 
 
-def _pow2_scale(a: np.ndarray) -> float:
-    """The largest power of two at or below max(|Re a|, |Im a|), or 1."""
-    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
-    return math.ldexp(1.0, max(math.frexp(top)[1] - 1, 0))
-
-
 def _commute_2x2(h: np.ndarray, gamma: np.ndarray) -> bool:
     """||[H, Gamma]||_F <= 1e-12 max(||H||_F ||Gamma||_F, 1), without overflow.
 
@@ -296,7 +290,7 @@ def _commute_2x2(h: np.ndarray, gamma: np.ndarray) -> bool:
     underflow, the test decides as the unscaled one does, bit for bit;
     matrices with entries below 2 are not scaled at all.
     """
-    sh, sg = _pow2_scale(h), _pow2_scale(gamma)
+    sh, sg = matcore.pow2_scale(h), matcore.pow2_scale(gamma)
     hs, gs = h / sh, gamma / sg
     comm = float(np.linalg.norm(matcore.commutator(hs, gs)))
     scale = float(np.linalg.norm(hs)) * float(np.linalg.norm(gs))
@@ -466,7 +460,7 @@ def asep_bound(rho, part: Partition, alpha: float) -> float:
         raise InvalidInputError(
             f"dimension mismatch: partition is {part.dim}, rho is {rho.shape[0]}"
         )
-    scale = max(_pow2_scale(hk) for hk in part.hamiltonians)
+    scale = max(matcore.pow2_scale(hk) for hk in part.hamiltonians)
     total = 0.0
     for hk in part.hamiltonians:
         hk = hk / scale

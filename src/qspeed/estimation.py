@@ -90,7 +90,7 @@ class ContinuousModel:
             if p <= 1e-300:
                 return 0.0
             d = self._dpdf(x, theta)
-            return d * d / p
+            return d / p * d
 
         return self._integral(integrand, theta)
 
@@ -105,66 +105,53 @@ def _require_scale(value: float, name: str) -> None:
         )
 
 
+def _location(g, psi, sampler, f1: float, f2: float, s: float,
+              name: str) -> ContinuousModel:
+    """Location family p(x | theta) = g(u) / s with u = (x - theta) / s,
+    from the standard density g and its score psi(u) = -g'(u) / g(u), so
+    that dp/dtheta = (g(u) / s) psi(u) / s.  The formulas see only u,
+    which is of order 1 wherever the density is, at any scale."""
+
+    def pdf(x, theta):
+        return g((np.asarray(x, dtype=float) - theta) / s) / s
+
+    def dpdf(x, theta):
+        u = (np.asarray(x, dtype=float) - theta) / s
+        return g(u) / s * psi(u) / s
+
+    return ContinuousModel(pdf=pdf, sampler=sampler, dpdf=dpdf,
+                           f1_analytic=lambda theta: f1,
+                           f2_analytic=lambda theta: f2, name=name)
+
+
 def gaussian_location(sigma: float = 1.0) -> ContinuousModel:
     """Normal location family with known scale."""
     _require_scale(sigma, "sigma")
-    s2 = sigma * sigma
-
-    def pdf(x, theta):
-        u = np.asarray(x, dtype=float) - theta
-        return np.exp(-0.5 * u * u / s2) / (sigma * _SQRT_2PI)
-
-    return ContinuousModel(
-        pdf=pdf,
-        sampler=lambda theta, shape, rng:
-            theta + sigma * rng.standard_normal(shape),
-        dpdf=lambda x, theta: pdf(x, theta) * (np.asarray(x) - theta) / s2,
-        f1_analytic=lambda theta: math.sqrt(2.0 / math.pi) / sigma,
-        f2_analytic=lambda theta: 1.0 / s2,
-        name="gaussian",
-    )
+    return _location(
+        lambda u: np.exp(-0.5 * u * u) / _SQRT_2PI, lambda u: u,
+        lambda theta, shape, rng: theta + sigma * rng.standard_normal(shape),
+        math.sqrt(2.0 / math.pi) / sigma, 1.0 / (sigma * sigma), sigma,
+        "gaussian")
 
 
 def cauchy_location(gamma: float = 1.0) -> ContinuousModel:
     """Cauchy location family; heavy tails, no mean."""
     _require_scale(gamma, "gamma")
-
-    def pdf(x, theta):
-        u = np.asarray(x, dtype=float) - theta
-        return gamma / (math.pi * (gamma * gamma + u * u))
-
-    def dpdf(x, theta):
-        u = np.asarray(x, dtype=float) - theta
-        return 2.0 * gamma * u / (math.pi * (gamma * gamma + u * u) ** 2)
-
-    return ContinuousModel(
-        pdf=pdf,
-        sampler=lambda theta, shape, rng:
-            theta + gamma * rng.standard_cauchy(shape),
-        dpdf=dpdf,
-        f1_analytic=lambda theta: 2.0 / (math.pi * gamma),
-        f2_analytic=lambda theta: 1.0 / (2.0 * gamma * gamma),
-        name="cauchy",
-    )
+    return _location(
+        lambda u: 1.0 / (math.pi * (1.0 + u * u)),
+        lambda u: 2.0 * u / (1.0 + u * u),
+        lambda theta, shape, rng: theta + gamma * rng.standard_cauchy(shape),
+        2.0 / (math.pi * gamma), 1.0 / (2.0 * gamma * gamma), gamma,
+        "cauchy")
 
 
 def laplace_location(scale: float = 1.0) -> ContinuousModel:
     """Laplace location family; the sample median is its efficient estimator."""
     _require_scale(scale, "scale")
-
-    def pdf(x, theta):
-        u = np.abs(np.asarray(x, dtype=float) - theta)
-        return np.exp(-u / scale) / (2.0 * scale)
-
-    return ContinuousModel(
-        pdf=pdf,
-        sampler=lambda theta, shape, rng: rng.laplace(theta, scale, shape),
-        dpdf=lambda x, theta:
-            pdf(x, theta) * np.sign(np.asarray(x, dtype=float) - theta) / scale,
-        f1_analytic=lambda theta: 1.0 / scale,
-        f2_analytic=lambda theta: 1.0 / (scale * scale),
-        name="laplace",
-    )
+    return _location(
+        lambda u: np.exp(-np.abs(u)) / 2.0, np.sign,
+        lambda theta, shape, rng: rng.laplace(theta, scale, shape),
+        1.0 / scale, 1.0 / (scale * scale), scale, "laplace")
 
 
 # -- sampling ---------------------------------------------------------
@@ -313,7 +300,9 @@ def median_dispersion_vs_bound(model: ContinuousModel, theta: float, m: int,
     converts the peak density into a per-sample dispersion sigma_1, which
     is compared with the single-sample bound 1/f_1.  ``satisfied`` asserts
     dispersion >= bound - 3 stderr, with the standard error propagated
-    from the density estimate.
+    from the density estimate.  The replicas and theta are first divided
+    by a power of two, which is exact, so no step overflows however wide
+    the model.
     """
     trials, m = _require_replicas(trials, m)
     f1 = model.f1(theta)
@@ -323,12 +312,13 @@ def median_dispersion_vs_bound(model: ContinuousModel, theta: float, m: int,
     rng = generator(seed)
     samples = model.sample(theta, (trials, m), rng)
     medians = np.median(samples, axis=1)
-    g, g_err = _kde_at(medians, theta)
+    unit = matcore.pow2_scale(medians)
+    g, g_err = _kde_at(medians / unit, theta / unit)
     if g <= 0:
         raise NumericalConsistencyError("estimated peak density vanished")
     scale = math.sqrt(m / (2.0 * math.pi))
-    dispersion = scale / g
-    stderr = scale * g_err / (g * g)
+    dispersion = unit * (scale / g)
+    stderr = unit * (scale * g_err / (g * g))
     satisfied = dispersion >= bound - 3.0 * stderr
     return EstimationResult(dispersion=float(dispersion), bound=float(bound),
                             stderr=float(stderr), m=m, trials=trials,

@@ -328,6 +328,13 @@ def integrate(fn, a: float, b: float, epsabs: float, epsrel: float,
     return float(out[0])
 
 
+def pow2_scale(a: np.ndarray) -> float:
+    """The largest power of two at or below max(|Re a|, |Im a|), or 1.
+    Dividing by it is exact wherever the quotient stays normal."""
+    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    return math.ldexp(1.0, max(math.frexp(top)[1] - 1, 0))
+
+
 def frozen(a: np.ndarray) -> np.ndarray:
     """a itself, made read-only; a must be an array its holder owns."""
     a.setflags(write=False)

@@ -192,20 +192,17 @@ def _make_cell(objective: str, alpha: float):
             return 0.5 * pw(np.abs(pw(pp, inv) - pw(qq, inv)), alpha)
 
         return cell_d
-    if objective == "sd_alpha":
-        if math.isinf(alpha):
-            def cell_sd_inf(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-                return np.abs(p - np.fmax(x, 0.0))
+    # sd_alpha: _resolve_inputs has rejected every other objective
+    if math.isinf(alpha):
+        def cell_sd_inf(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+            return np.abs(p - np.fmax(x, 0.0))
 
-            return cell_sd_inf
+        return cell_sd_inf
 
-        def cell_sd(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return 0.5 * pw(np.abs(p - np.fmax(x, 0.0)), alpha)
+    def cell_sd(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return 0.5 * pw(np.abs(p - np.fmax(x, 0.0)), alpha)
 
-        return cell_sd
-    raise InvalidInputError(
-        f"objective must be one of {_OBJECTIVES}, got {objective!r}"
-    )
+    return cell_sd
 
 
 def _reduce(total: float, objective: str, alpha: float) -> float:

@@ -9,6 +9,8 @@ The builders and constants below are imported by the test files with
 ``from conftest import ...``.
 """
 
+import math
+
 import numpy as np
 from hypothesis import settings
 
@@ -24,6 +26,12 @@ PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 Z0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
 KINDS = ("unitary", "non_hermitian", "lindblad", "thermal", "table")
+# per-sample dispersion bound 1/f_1 of each estimation model at unit scale
+MEDIAN_BOUNDS = {
+    "gaussian": math.sqrt(math.pi / 2.0),
+    "cauchy": math.pi / 2.0,
+    "laplace": 1.0,
+}
 
 
 def haar_state(rng, dim):

@@ -15,7 +15,7 @@ from qspeed import classical, jsonio, oracle, quantum
 from qspeed.cli import main
 from qspeed.errors import NumericalConsistencyError
 
-from conftest import KINDS
+from conftest import KINDS, MEDIAN_BOUNDS
 
 SQ8 = math.sqrt(1.0 / 8.0)
 
@@ -559,16 +559,24 @@ def test_estimate_rejects_a_subnormal_square_scale(capsys, model):
     assert err.count("\n") == 1 and "normal float square" in err
 
 
-@pytest.mark.parametrize("scale", ["1e-6", "1e6"])
+@pytest.mark.parametrize("scale", ["1e-6", "1e6", "1.5e152", "1e154",
+                                   "1.34e154"])
 def test_estimate_model_at_a_far_scale_warns_nothing(scale):
     # the density was integrated in units of 1: at 1e-6 quad saw only zeros
-    # and at 1e6 its IntegrationWarnings reached stderr, and both exited 2
-    proc = run_process(["estimate", "--model", "gaussian", "--scale", scale,
-                        "--m", "21", "--trials", "200"])
-    assert (proc.returncode, proc.stderr) == (0, "")
-    # reports carry 12 significant digits
-    assert json.loads(proc.stdout)["bound"] == pytest.approx(
-        math.sqrt(math.pi / 2.0) * float(scale), rel=1e-11)
+    # and at 1e6 its IntegrationWarnings reached stderr, and both exited 2.
+    # The x-unit densities overflowed from 1.5e152, and np.std of the
+    # replica medians from 1e154
+    procs = {model: subprocess.Popen(
+        [sys.executable, "-m", "qspeed.cli", "estimate", "--model", model,
+         "--scale", scale, "--m", "21", "--trials", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for model in MEDIAN_BOUNDS}
+    for model, proc in procs.items():
+        out, err = proc.communicate()
+        assert (model, proc.returncode, err) == (model, 0, "")
+        # reports carry 12 significant digits
+        assert json.loads(out)["bound"] == pytest.approx(
+            MEDIAN_BOUNDS[model] * float(scale), rel=1e-11)
 
 
 @pytest.mark.parametrize("argv", [
@@ -634,6 +642,20 @@ def test_oracle_overflowing_search_prints_one_error_line(tmp_path, scale,
     assert proc.stderr == (
         f"qspeed: numerical consistency failure: the {objective} search "
         f"exceeds the float range at alpha = {alpha}\n")
+
+
+def test_oracle_search_above_the_closed_form_exits_3(tmp_path, capsys,
+                                                     monkeypatch):
+    # the search is a lower bound, so a value above the closed form is a
+    # failed cross-check
+    fam = write(tmp_path, "fam.json", PLUS_FAMILY)
+    monkeypatch.setattr(oracle, "brute_force_max", lambda fam, theta, *_:
+                        (quantum.trace_speed(fam, theta) + 1e-3, None))
+    code, out, err = run(capsys, ["oracle", "--objective", "f_alpha",
+                                  "--family", fam, "--theta", "0.3"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert "exceeds the closed form" in err
 
 
 # -- validate ---------------------------------------------------------

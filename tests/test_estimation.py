@@ -21,7 +21,7 @@ from qspeed.estimation import (ContinuousModel, cauchy_location,
                                quantum_median_bound, quantum_median_chain)
 from qspeed.quantum import POVM, ParametricFamily
 
-from conftest import PLUS_RHO, SZ, Z0, plus_family
+from conftest import MEDIAN_BOUNDS, PLUS_RHO, SZ, Z0, plus_family
 
 MODELS = {
     "gaussian": gaussian_location,
@@ -29,21 +29,13 @@ MODELS = {
     "laplace": laplace_location,
 }
 
-# per-sample dispersion bound 1/f_1 at unit scale
-BOUNDS = {
-    "gaussian": math.sqrt(math.pi / 2.0),
-    "cauchy": math.pi / 2.0,
-    "laplace": 1.0,
-}
-
-
 # -- continuous models ------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_analytic_fisher_values(name):
     model = MODELS[name](1.0)
-    assert model.f1(0.3) == pytest.approx(BOUNDS[name] ** -1, rel=1e-12)
+    assert model.f1(0.3) == pytest.approx(MEDIAN_BOUNDS[name] ** -1, rel=1e-12)
     f2 = {"gaussian": 1.0, "cauchy": 0.5, "laplace": 1.0}[name]
     assert model.f2(0.3) == pytest.approx(f2, rel=1e-12)
 
@@ -51,26 +43,31 @@ def test_model_analytic_fisher_values(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_quadrature_matches_analytic(name):
     # the integrals ran in units of 1, so a gaussian of width 1e-8
-    # integrated to 0 and one of width 1e8 to -8e-9, with IntegrationWarnings
-    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+    # integrated to 0 and one of width 1e8 to -8e-9, with IntegrationWarnings;
+    # at 1e100 the x-unit formulas gave f_2 = 0 (and cauchy f_1 = 0), and at
+    # 1e-100 they overflowed
+    for scale in (1e-100, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e100):
         base = MODELS[name](scale)
-        blind = ContinuousModel(pdf=base.pdf, sampler=base.sampler,
-                                dpdf=base.dpdf, name=name + "-quad")
-        assert blind.f1(0.0) == pytest.approx(base.f1(0.0), rel=1e-6)
-        assert blind.f2(0.0) == pytest.approx(base.f2(0.0), rel=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blind = ContinuousModel(pdf=base.pdf, sampler=base.sampler,
+                                    dpdf=base.dpdf, name=name + "-quad")
+            assert blind.f1(0.0) == pytest.approx(base.f1(0.0), rel=1e-6)
+            assert blind.f2(0.0) == pytest.approx(base.f2(0.0), rel=1e-6)
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(sorted(MODELS)), st.integers(-150, 150))
+@given(st.sampled_from(sorted(MODELS)), st.integers(-153, 153))
 def test_median_dispersion_scales_with_the_model(name, exponent):
-    # every quadrature of a model runs in the density's own width, so a
-    # scale of 10^exponent only rescales the check
+    # every quadrature of a model runs in the density's own width and the
+    # kernel density in a power of two of the replicas, so a scale of
+    # 10^exponent only rescales the check
     scale = 10.0 ** exponent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = MODELS[name](scale)
+        got = median_dispersion_vs_bound(model, 0.0, 5, 100, seed=7)
     unit = median_dispersion_vs_bound(MODELS[name](1.0), 0.0, 5, 100, seed=7)
-    got = median_dispersion_vs_bound(model, 0.0, 5, 100, seed=7)
     for field in ("dispersion", "bound", "stderr"):
         assert getattr(got, field) / scale == pytest.approx(
             getattr(unit, field), rel=1e-12)
@@ -216,8 +213,8 @@ def test_median_dispersion_near_bound(name):
     model = MODELS[name](1.0)
     res = median_dispersion_vs_bound(model, 0.0, m=101, trials=4000,
                                      seed=10 + len(name))
-    assert res.bound == pytest.approx(BOUNDS[name], rel=1e-12)
-    assert res.dispersion == pytest.approx(BOUNDS[name], rel=0.08)
+    assert res.bound == pytest.approx(MEDIAN_BOUNDS[name], rel=1e-12)
+    assert res.dispersion == pytest.approx(MEDIAN_BOUNDS[name], rel=0.08)
     assert res.satisfied
 
 
