@@ -56,15 +56,18 @@ class CollectiveSpin:
 
 
 def collective_spin(n_qubits: int, direction) -> CollectiveSpin:
-    """Build J_n for a unit direction n; its spectrum runs from -N/2 to N/2."""
+    """Build J_n for a direction n of unit length within 1e-9, from n / |n|;
+    its spectrum runs from -N/2 to N/2."""
     n_qubits = int(n_qubits)
     if n_qubits < 1:
         raise InvalidInputError("qubit count must be positive")
     vec = np.asarray(direction, dtype=float).reshape(-1)
     if vec.shape != (3,):
         raise InvalidInputError("direction must be a 3-vector")
-    if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > 1e-9:
         raise InvalidInputError("direction must be a unit vector within 1e-9")
+    vec = vec / norm
     single = 0.5 * (vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
     dim = 2 ** n_qubits
     op = np.zeros((dim, dim), dtype=complex)
@@ -254,8 +257,11 @@ class NonHermitianBound(NamedTuple):
     r_opt: float
 
 
-def _dephasing_min_norm(h: np.ndarray, gamma: np.ndarray) -> tuple[float, float]:
-    """Closed-form min_r ||H - i Gamma - r I||_inf for commuting 2x2 pairs.
+def _dephasing_min_norm(h: np.ndarray,
+                        gamma: np.ndarray) -> tuple[float, float] | None:
+    """Closed-form min_r ||H - i Gamma - r I||_inf for a 2x2 pair with Gamma
+    diagonal in the eigenbasis V of H, that is |(V^dag Gamma V)_01| at most
+    1e-12 max|V^dag Gamma V|; None for any other pair.
 
     The squared norm is the larger of two parabolas (h_i - r)^2 + g_i^2
     with (h_i, g_i) paired by a common eigenvector.  The minimum sits at
@@ -264,7 +270,10 @@ def _dephasing_min_norm(h: np.ndarray, gamma: np.ndarray) -> tuple[float, float]
     where both parabolas take the value y_0.
     """
     w, v = np.linalg.eigh(h)
-    gvals = np.real(np.diag(v.conj().T @ gamma @ v))
+    m = v.conj().T @ gamma @ v
+    if abs(m[0, 1]) > 1e-12 * float(np.max(np.abs(m))):
+        return None
+    gvals = np.real(np.diag(m))
     h1, h2 = float(w[1]), float(w[0])
     g1, g2 = float(gvals[1]), float(gvals[0])
     span = abs(h1 - h2)
@@ -281,22 +290,6 @@ def _dephasing_min_norm(h: np.ndarray, gamma: np.ndarray) -> tuple[float, float]
     return math.sqrt(y0), r0
 
 
-def _commute_2x2(h: np.ndarray, gamma: np.ndarray) -> bool:
-    """||[H, Gamma]||_F <= 1e-12 max(||H||_F ||Gamma||_F, 1), without overflow.
-
-    Each matrix is first divided by a power of two, which leaves its
-    entries below 2 in real and imaginary part.  That division is exact, so
-    wherever neither the scaled nor the unscaled products overflow or
-    underflow, the test decides as the unscaled one does, bit for bit;
-    matrices with entries below 2 are not scaled at all.
-    """
-    sh, sg = matcore.pow2_scale(h), matcore.pow2_scale(gamma)
-    hs, gs = h / sh, gamma / sg
-    comm = float(np.linalg.norm(matcore.commutator(hs, gs)))
-    scale = float(np.linalg.norm(hs)) * float(np.linalg.norm(gs))
-    return comm <= 1e-12 * max(scale, 1.0 / sh / sg)
-
-
 def nonhermitian_speed_bound(h, gamma) -> NonHermitianBound:
     """Speed caps for evolution generated by H - i Gamma.
 
@@ -304,9 +297,9 @@ def nonhermitian_speed_bound(h, gamma) -> NonHermitianBound:
     F_1 <= 2 min q and F_2 <= 4 (min q)^2.  q is the norm of an affine
     family, hence convex, so a grid scan plus golden-section search over
     [lmin(H) - ||Gamma||_inf, lmax(H) + ||Gamma||_inf] finds the global
-    minimum.  Commuting 2x2 pairs use the closed form of the two-parabola
-    crossing and are cross-checked against the search.  Raises
-    NumericalConsistencyError when the interval or the caps overflow.
+    minimum.  2x2 pairs with Gamma diagonal in H's eigenbasis take the
+    closed form of the two-parabola crossing, checked against the search.
+    Raises NumericalConsistencyError when the interval or the caps overflow.
     """
     h, gamma = matcore.require_h_gamma(h, gamma)
     dim = h.shape[0]
@@ -345,8 +338,8 @@ def nonhermitian_speed_bound(h, gamma) -> NonHermitianBound:
             f"{q_min:.6g} is not a finite float"
         )
 
-    if dim == 2 and _commute_2x2(h, gamma):
-        closed, r_closed = _dephasing_min_norm(h, gamma)
+    if dim == 2 and (closed_form := _dephasing_min_norm(h, gamma)) is not None:
+        closed, r_closed = closed_form
         if abs(closed - q_min) > 1e-8 * max(1.0, closed):
             raise NumericalConsistencyError(
                 "closed-form dephasing bound disagrees with the shift search: "

@@ -33,7 +33,8 @@ class ContinuousModel:
 
     ``pdf(x, theta)`` evaluates the density elementwise, ``sampler(theta,
     shape, rng)`` draws samples, and ``dpdf(x, theta)`` is the derivative
-    in theta when available (otherwise a central difference is used).
+    in theta when available (otherwise a central difference with a step of
+    1e-5 times the width 1 / p(theta | theta) is used).
     ``f1_analytic`` / ``f2_analytic`` short-circuit the quadrature in
     :meth:`f1` / :meth:`f2`.  The density is checked to integrate to one
     at theta = 0 on construction.
@@ -53,13 +54,17 @@ class ContinuousModel:
                 f"density of {self.name!r} integrates to {total:.8g}, not 1"
             )
 
+    def _width(self, theta: float) -> float:
+        """w = 1 / p(theta | theta), the density's own width, or 1 where
+        that is not a positive finite float."""
+        p = float(self.pdf(theta, theta))
+        return 1.0 / p if 0 < p < math.inf and 1.0 / p < math.inf else 1.0
+
     def _integral(self, fn, theta: float) -> float:
         """Integral of fn(x) over the real line, split at theta, where a
-        location family may be kinked.  It runs in x = theta + w v, with
-        w = 1 / p(theta | theta) the density's own width (1 where that is
-        not a positive finite float), so no integral depends on the scale."""
-        p = float(self.pdf(theta, theta))
-        w = 1.0 / p if 0 < p < math.inf and 1.0 / p < math.inf else 1.0
+        location family may be kinked.  It runs in x = theta + w v, with w
+        the width, so no integral depends on the scale."""
+        w = self._width(theta)
         return sum(matcore.integrate(
             lambda v: w * fn(theta + w * v), lo, hi, 0.0, _QUAD_RTOL,
             f"the quadrature of {self.name!r}")
@@ -71,7 +76,7 @@ class ContinuousModel:
     def _dpdf(self, x, theta: float):
         if self.dpdf is not None:
             return self.dpdf(x, theta)
-        step = 1e-5
+        step = 1e-5 * self._width(theta)
         return (self.pdf(x, theta + step) - self.pdf(x, theta - step)) / (2 * step)
 
     def f1(self, theta: float) -> float:
@@ -301,8 +306,8 @@ def median_dispersion_vs_bound(model: ContinuousModel, theta: float, m: int,
     is compared with the single-sample bound 1/f_1.  ``satisfied`` asserts
     dispersion >= bound - 3 stderr, with the standard error propagated
     from the density estimate.  The replicas and theta are first divided
-    by a power of two, which is exact, so no step overflows however wide
-    the model.
+    by a power of two, which is exact, so no step overflows or underflows
+    however wide or narrow the model.
     """
     trials, m = _require_replicas(trials, m)
     f1 = model.f1(theta)

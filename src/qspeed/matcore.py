@@ -266,10 +266,6 @@ def jordan_hahn(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return x_plus, x_minus, e_plus, e_minus
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def golden_rows(fn, a: np.ndarray, b: np.ndarray, tol: float, *,
                 parabolic: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section maximum of fn on each row's bracket [a, b].
@@ -329,10 +325,11 @@ def integrate(fn, a: float, b: float, epsabs: float, epsrel: float,
 
 
 def pow2_scale(a: np.ndarray) -> float:
-    """The largest power of two at or below max(|Re a|, |Im a|), or 1.
-    Dividing by it is exact wherever the quotient stays normal."""
+    """The largest power of two at or below max(|Re a|, |Im a|), or 1 where
+    a is all zero.  Dividing by it is exact wherever the quotient stays
+    normal, and it takes the largest part of a into [1, 2)."""
     top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
-    return math.ldexp(1.0, max(math.frexp(top)[1] - 1, 0))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0 else 1.0
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

@@ -377,11 +377,14 @@ def induced_parametric(fam: ParametricFamily, theta: float, povm: POVM) -> Param
 
 
 def _state_roots(rho, sigma) -> list[np.ndarray]:
-    """[sqrt(rho), sqrt(sigma)] of two validated states."""
+    """[sqrt(rho), sqrt(sigma)] of two validated states.  Eigenvalues at or
+    below zero_tol are set to 0, so the rounding of a null eigenvalue,
+    whose square root is of order sqrt(eps), leaves no weight there."""
     roots = []
     for x in require_states(rho, sigma):
         w, v = np.linalg.eigh(x)
-        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+        w = np.where(w > zero_tol(w), w, 0.0)
+        roots.append((v * np.sqrt(w)) @ v.conj().T)
     return roots
 
 
@@ -568,6 +571,7 @@ def pure_two_projector_povm(psi, h) -> POVM:
     in dim > 2) give f_alpha^(1/alpha) = 2 DeltaH for every alpha >= 1.
     """
     psi = require_state(psi)
+    psi = psi / np.linalg.norm(psi)  # the projectors need |psi| = 1 exactly
     h = require_hermitian(h, "H")
     if h.shape[0] != psi.size:
         raise InvalidInputError("state and H dimensions differ")
@@ -601,9 +605,9 @@ def nonhermitian_pure_speed(psi, h, gamma, alpha: float = 1.0) -> float:
     """
     require_alpha(alpha)
     psi = require_state(psi)
-    h = require_hermitian(h, "H")
-    gamma = require_hermitian(gamma, "Gamma")
-    if h.shape[0] != psi.size or gamma.shape[0] != psi.size:
+    psi = psi / np.linalg.norm(psi)  # the radicand needs |psi| = 1 exactly
+    h, gamma = require_h_gamma(h, gamma)
+    if h.shape[0] != psi.size:
         raise InvalidInputError("state and generator dimensions differ")
     h_eff = h - 1j * gamma
     u = h_eff @ psi

@@ -37,6 +37,16 @@ def test_collective_spin_rejects_bad_direction():
         bounds.collective_spin(2, [0, 0])
 
 
+@pytest.mark.parametrize("n_qubits", [1, 4])
+def test_collective_spin_normalizes_a_near_unit_direction(n_qubits):
+    # J_n was built from n itself, so a direction admitted 5e-10 off unit
+    # length moved the spectrum off +-N/2 and raised
+    near = bounds.collective_spin(n_qubits, [1 + 5e-10, 0, 0])
+    unit = bounds.collective_spin(n_qubits, [1, 0, 0])
+    assert np.array_equal(near.operator, unit.operator)
+    assert np.array_equal(near.direction, unit.direction)
+
+
 def test_embed_qubit_places_operator():
     op = bounds.embed_qubit(SZ, 1, 2)
     assert np.allclose(op, np.kron(np.eye(2), SZ))
@@ -385,6 +395,20 @@ def test_nonhermitian_bound_pinned_values(index):
     assert tuple(res) == NONHERMITIAN_PINS[index]
 
 
+def test_nonhermitian_bound_reads_gamma_in_a_degenerate_h():
+    # every basis is an eigenbasis of H = I, and Gamma = sigma_x / 2 is not
+    # diagonal in the one eigh returns; the closed form read Gamma's
+    # diagonal, 0, and its cross-check against the search's 0.5 raised
+    gamma = np.array([[0.0, 0.5], [0.5, 0.0]])
+    assert bounds._dephasing_min_norm(np.eye(2), gamma) is None
+    res = bounds.nonhermitian_speed_bound(np.eye(2), gamma)
+    assert res.f1_bound == pytest.approx(1.0, abs=1e-9)
+    assert res.f2_bound == pytest.approx(1.0, abs=1e-9)
+    op = matcore.Superoperator.from_non_hermitian(np.eye(2), gamma)
+    assert bounds.local_generator_sep_bound([op]) == pytest.approx(1.0,
+                                                                   abs=1e-9)
+
+
 # -- separability caps ------------------------------------------------
 
 
@@ -500,6 +524,16 @@ def test_spin_squeezing_rejects_bad_inputs():
     ghz3 = np.outer(ghz(3), ghz(3).conj())
     with pytest.raises(DegenerateInputError):
         bounds.spin_squeezing_xi(ghz3, 3, ([0, 1, 0], [0, 0, 1], [1, 0, 0]))
+
+
+def test_spin_squeezing_normalizes_a_near_unit_triad():
+    # the collective spin of the first axis, 5e-10 off unit length, raised
+    zero2 = np.zeros((4, 4))
+    zero2[0, 0] = 1.0
+    near = bounds.spin_squeezing_xi(zero2, 2,
+                                    [[1 + 5e-10, 0, 0], [0, 1, 0], [0, 0, 1]])
+    unit = bounds.spin_squeezing_xi(zero2, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert near == unit
 
 
 # -- curve length -----------------------------------------------------
@@ -668,3 +702,49 @@ def test_ghz_speed_values():
         assert quantum.trace_speed(fam, 0.0) == pytest.approx(float(n),
                                                               abs=1e-9)
         assert quantum.qfi(fam, 0.0) == pytest.approx(float(n * n), abs=1e-8)
+
+
+# -- validation -------------------------------------------------------
+
+
+AXES = ([1, 0, 0], [0, 1, 0], [0, 0, 1])
+ZERO2 = np.diag([1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: bounds.embed_qubit(np.eye(3), 0, 1),
+                 "site operator must be 2x2, got (3, 3)", id="embed-shape"),
+    pytest.param(lambda: bounds.bhatia_davis_bound(SZ, np.eye(3) / 3),
+                 "dimension mismatch: H is 2, rho is 3", id="bhatia-dim"),
+    pytest.param(lambda: bounds.asep_bound(np.eye(2) / 2, bell_partition(), 1.0),
+                 "dimension mismatch: partition is 4, rho is 2", id="asep-dim"),
+    pytest.param(lambda: Partition((), ()),
+                 "partition needs at least one block", id="no-block"),
+    pytest.param(lambda: Partition(((0,), ()), (np.eye(2), np.eye(2))),
+                 "partition blocks must be nonempty", id="empty-block"),
+    pytest.param(lambda: bounds.local_generator_sep_bound([np.eye(4)]),
+                 "local generators must be superoperators", id="local-kind"),
+    pytest.param(lambda: bounds.spin_squeezing_xi(ZERO2, 2, AXES[:2]),
+                 "directions must be three 3-vectors", id="triad-count"),
+    pytest.param(lambda: bounds.spin_squeezing_xi(
+                     ZERO2, 2, ([2, 0, 0], [0, 1, 0], [0, 0, 1])),
+                 "triad vectors must be unit length within 1e-9",
+                 id="triad-length"),
+    pytest.param(lambda: bounds.spin_squeezing_xi(
+                     ZERO2, 2, ([1, 0, 0], [1, 0, 0], [0, 0, 1])),
+                 "triad vectors must be orthogonal within 1e-9",
+                 id="triad-orthogonal"),
+    pytest.param(lambda: bounds.spin_squeezing_xi(np.eye(2) / 2, 2, AXES),
+                 "rho dimension 2 does not match 2 qubits", id="xi-dim"),
+    pytest.param(lambda: bounds.witness(
+                     ParametricFamily.unitary(SZ / 2, PLUS), SZ / 2),
+                 "a parametric family already carries its generator",
+                 id="family-and-generator"),
+    pytest.param(lambda: bounds.witness(
+                     ParametricFamily.unitary(SZ / 2, PLUS), kind="wsep"),
+                 "unknown bound kind 'wsep'", id="witness-kind"),
+])
+def test_bounds_validation_raises(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == message

@@ -359,6 +359,26 @@ def test_bound_nonhermitian_large_entries_warn_nothing(tmp_path):
                            '  "r_opt": 1e+200\n}\n')
 
 
+def test_bound_with_gamma_off_the_basis_of_a_degenerate_h(tmp_path):
+    # every basis is an eigenbasis of H = I, and Gamma = sigma_x / 2 is not
+    # diagonal in the one eigh returns; the commutator test let the closed
+    # form read Gamma's diagonal, and its cross-check exited 3 ("0 vs 0.5")
+    h, gamma = matrix_json(np.eye(2)), matrix_json([[0.0, 0.5], [0.5, 0.0]])
+    nonhermitian = run_process(
+        ["bound", "--kind", "nonhermitian", "--hamiltonian",
+         write(tmp_path, "h.json", h), "--gamma",
+         write(tmp_path, "g.json", gamma)])
+    local = run_process(
+        ["bound", "--kind", "local", "--locals",
+         write(tmp_path, "locals.json",
+               [{"kind": "non_hermitian", "h": h, "gamma": gamma}])])
+    for proc in (nonhermitian, local):
+        assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(nonhermitian.stdout)
+    assert (report["f1_bound"], report["f2_bound"]) == (1, 1)
+    assert json.loads(local.stdout)["value"] == 1
+
+
 @pytest.mark.parametrize("restarts", ["0", "-2"])
 def test_bound_local_rejects_restarts_below_one(tmp_path, capsys, restarts):
     # with no restart the norm search returned -1, and the cap printed 1
@@ -577,6 +597,22 @@ def test_estimate_model_at_a_far_scale_warns_nothing(scale):
         # reports carry 12 significant digits
         assert json.loads(out)["bound"] == pytest.approx(
             MEDIAN_BOUNDS[model] * float(scale), rel=1e-11)
+
+
+@pytest.mark.parametrize("scale", ["1.5e-154", "2e-154"])
+def test_estimate_model_at_the_bottom_of_the_scale_range(scale):
+    # the replicas were never scaled up, so at the default m = 101 the
+    # squared peak density overflowed, the stderr read 0 and the run
+    # exited 3
+    procs = {model: subprocess.Popen(
+        [sys.executable, "-m", "qspeed.cli", "estimate", "--model", model,
+         "--scale", scale],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for model in MEDIAN_BOUNDS}
+    for model, proc in procs.items():
+        out, err = proc.communicate()
+        assert (model, proc.returncode, err) == (model, 0, "")
+        assert json.loads(out)["stderr"] > 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -80,6 +80,21 @@ def test_model_finite_difference_derivative_fallback():
     assert blind.f2(0.0) == pytest.approx(1.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_model_finite_difference_step_follows_the_width(name):
+    # the central-difference step was 1e-5 whatever the scale: gaussian at
+    # 1e-6 reported f_2 = 1.3e53 (true 1e12), and at 1e3 and 1e6 the
+    # quadrature did not reach its tolerance
+    for scale in (1e-100, 1e-6, 1.0, 1e3, 1e6, 1e100):
+        base = MODELS[name](scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blind = ContinuousModel(pdf=base.pdf, sampler=base.sampler,
+                                    name=name + "-fd")
+            assert blind.f1(0.0) == pytest.approx(base.f1(0.0), rel=1e-9)
+            assert blind.f2(0.0) == pytest.approx(base.f2(0.0), rel=1e-9)
+
+
 def test_model_rejects_unnormalized_density():
     base = gaussian_location(1.0)
     with pytest.raises(InvalidInputError):

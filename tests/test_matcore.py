@@ -288,7 +288,7 @@ def test_commutator_map_matches_direct_commutator():
     h = SZ / 2
     plus = np.full((2, 2), 0.5, dtype=complex)
     op = matcore.Superoperator.from_hamiltonian(h)
-    direct = -1j * matcore.commutator(h, plus)
+    direct = -1j * (h @ plus - plus @ h)
     assert np.linalg.norm(op.apply(plus) - direct) <= 1e-12
     assert abs(np.trace(op.apply(plus))) <= 1e-12
 
@@ -300,7 +300,7 @@ def test_commutator_map_random_operands(seed):
     h = random_hermitian(rng, dim)
     op = matcore.Superoperator.from_hamiltonian(h)
     x = random_matrix(rng, dim)
-    direct = -1j * matcore.commutator(h, x)
+    direct = -1j * (h @ x - x @ h)
     assert np.linalg.norm(op.apply(x) - direct) <= 1e-12 * max(
         1.0, float(np.linalg.norm(direct)))
     assert abs(np.trace(op.apply(x))) <= 1e-10
@@ -556,3 +556,47 @@ def test_finite_alpha_check():
     with pytest.raises(InvalidInputError,
                        match="alpha = inf is not defined for d_alpha"):
         matcore.require_finite_alpha(math.inf, "d_alpha")
+
+
+# -- power-of-two scaler ----------------------------------------------
+
+
+@pytest.mark.parametrize("top", [5e-324, 1e-200, 0.3, 1.0, 1.5, 3.0, 1e300])
+def test_pow2_scale_scales_the_largest_part_into_one_two(top):
+    # the scaler was clamped at 1, so entries below 1 were never scaled up
+    a = np.array([[0.5 * top, -1j * top], [0.25 * top, 0.0]])
+    scale = matcore.pow2_scale(a)
+    assert math.frexp(scale)[0] == 0.5  # a power of two
+    assert 1.0 <= top / scale < 2.0
+
+
+def test_pow2_scale_of_an_all_zero_array_is_one():
+    assert matcore.pow2_scale(np.zeros((2, 2), dtype=complex)) == 1.0
+
+
+# -- validation -------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: matcore.as_matrix(np.ones((2, 3))),
+                 "matrix must be square, got shape (2, 3)", id="square"),
+    pytest.param(lambda: matcore.as_matrix([[1.0, math.nan], [0.0, 1.0]]),
+                 "matrix has non-finite entries", id="finite"),
+    pytest.param(lambda: matcore.require_h_gamma(SZ, np.eye(3)),
+                 "H and Gamma must have the same shape", id="h-gamma-shape"),
+    pytest.param(lambda: matcore.require_state([math.inf, 0.0]),
+                 "psi has non-finite entries", id="state-finite"),
+    pytest.param(lambda: matcore.require_state([1.0, 1.0]),
+                 "psi has squared norm 2, expected 1", id="state-norm"),
+    pytest.param(lambda: matcore.Superoperator(np.eye(3), 2),
+                 "superoperator matrix must be 4x4 for dim 2, got (3, 3)",
+                 id="superop-shape"),
+    pytest.param(lambda: matcore.Superoperator.from_hamiltonian(SZ).apply(
+                     np.eye(3)),
+                 "operand dim 3 does not match superoperator dim 2",
+                 id="apply-dim"),
+])
+def test_matcore_validation_raises(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == message

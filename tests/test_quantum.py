@@ -3,6 +3,7 @@
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -79,6 +80,24 @@ def test_bures_distance_of_close_states_does_not_cancel():
     rho, sigma = (v * p) @ v.conj().T, np.eye(2) / 2
     assert quantum.bures_distance(rho, sigma) == pytest.approx(exact,
                                                                rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_bures_distance_against_a_pure_partner_matches_mpmath(dim):
+    # the pure partner's rounded zero eigenvalues, of order 1e-17, entered
+    # its square root as weights of order 3e-9, and D_2 fell 2.9e-9
+    # relative short (d = 3, index 3)
+    with mpmath.workdps(40):
+        for index in range(8):
+            rho = oracle.random_instance("density", dim, 77, index)
+            psi = oracle.random_instance("pure", dim, 78, index)
+            got = quantum.bures_distance(rho, np.outer(psi, psi.conj()))
+            overlap = mpmath.fsum(
+                mpmath.conj(mpmath.mpc(complex(psi[a])))
+                * mpmath.mpc(complex(rho[a, b])) * mpmath.mpc(complex(psi[b]))
+                for a in range(dim) for b in range(dim))
+            want = mpmath.sqrt(1 - mpmath.sqrt(mpmath.re(overlap)))
+            assert got == pytest.approx(float(want), rel=1e-13), index
 
 
 def test_fidelity_pure_overlap():
@@ -691,6 +710,14 @@ def test_two_projector_povm_rejects_eigenstate():
         quantum.pure_two_projector_povm(np.array([1.0, 0.0]), SZ / 2)
 
 
+def test_two_projector_povm_normalizes_a_near_unit_state():
+    # |psi|^2 = 1 + 9e-10 is admitted, and the projectors built from psi
+    # itself summed to the identity only within 4.4e-9
+    psi = np.array([np.sqrt(0.5 + 9e-10), np.sqrt(0.5)])
+    povm = quantum.pure_two_projector_povm(psi, [[0.3, 0.5], [0.5, 1.7]])
+    assert np.max(np.abs(sum(povm) - np.eye(2))) <= 1e-15
+
+
 # -- non-Hermitian pure-state speeds ----------------------------------
 
 
@@ -708,6 +735,14 @@ def test_nonhermitian_scalar_gamma():
     val = quantum.nonhermitian_pure_speed(
         PLUS, SZ / 2, gamma * np.eye(2), 1.0)
     assert val == pytest.approx(2 * np.sqrt(0.25 + gamma ** 2))
+
+
+@pytest.mark.parametrize("norm_sq", [1 + 9e-10, 1 - 9e-10])
+def test_nonhermitian_pure_speed_normalizes_a_near_unit_state(norm_sq):
+    # an eigenstate of H has F_1 = 0, but with |psi|^2 = 1 + 9e-10 the
+    # radicand read -9e-10 and raised, and with 1 - 9e-10 F_1 read 6e-5
+    psi = np.array([np.sqrt(norm_sq), 0.0])
+    assert quantum.nonhermitian_pure_speed(psi, SZ, np.zeros((2, 2))) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1039,3 +1074,52 @@ def test_at_evaluates_its_state_through_state_at(kind, monkeypatch):
     monkeypatch.setattr(ParametricFamily, "state_at", counted)
     fam.at(1.0)
     assert calls == [1.0]
+
+
+# -- validation -------------------------------------------------------
+
+
+EYE2, EYE3 = np.eye(2) / 2, np.eye(3) / 3
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: POVM([np.eye(2), np.eye(3)]),
+                 "POVM elements have mixed dimensions", id="povm-dims"),
+    pytest.param(lambda: ParametricFamily.unitary(SZ, EYE3),
+                 "state dim 3 does not match generator dim 2",
+                 id="initial-state-dim"),
+    pytest.param(lambda: ParametricFamily.table(
+                     [(0, EYE2), (1, EYE2)]),
+                 "table family needs at least 3 grid points", id="table-size"),
+    pytest.param(lambda: ParametricFamily.table(
+                     [(0, EYE2), (0, EYE2), (1, EYE2)]),
+                 "table thetas must be strictly increasing",
+                 id="table-order"),
+    pytest.param(lambda: ParametricFamily.table(
+                     [(0, EYE2), (1, EYE2), (3, EYE2)]),
+                 "table family requires a uniform theta grid",
+                 id="table-uniform"),
+    pytest.param(lambda: ParametricFamily.table(
+                     [(0, EYE2), (1, EYE2), (2, EYE3)]),
+                 "table states have mixed dimensions", id="table-dims"),
+    pytest.param(lambda: quantum.statistical_speed(
+                     ParametricFamily.unitary(SZ, PLUS), 0.0, kind="fast"),
+                 "unknown speed kind 'fast'", id="speed-kind"),
+    pytest.param(lambda: quantum.optimal_povm(
+                     ParametricFamily.unitary(SZ, PLUS), 0.0, target="f3"),
+                 "unknown optimal_povm target 'f3'", id="povm-target"),
+    pytest.param(lambda: quantum.pure_two_projector_povm(PLUS, np.eye(3)),
+                 "state and H dimensions differ", id="two-projector-dim"),
+    pytest.param(lambda: quantum.nonhermitian_pure_speed(
+                     PLUS, np.eye(3), np.eye(3)),
+                 "state and generator dimensions differ",
+                 id="nonhermitian-dim"),
+    pytest.param(lambda: quantum.weak_value_fisher(
+                     PLUS, SZ, POVM([EYE2, EYE2])),
+                 "POVM element 0 is not a projector; weak values need a "
+                 "projective measurement", id="weak-value-projector"),
+])
+def test_quantum_validation_raises(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == message
