@@ -201,7 +201,7 @@ def superop_norm(op: Superoperator, alpha: float, *, restarts: int = 32,
     dim, scale = op.dim, matcore.pow2_scale(op.matrix)
     m = op.matrix / scale  # exact; no norm of m overflows
     defect = op.hermiticity_preservation_defect()
-    if defect > 1e-9 * max(scale * float(np.linalg.norm(m)), 1.0):
+    if defect > 1e-9 * scale * float(np.linalg.norm(m)):
         raise InvalidInputError(
             "superoperator must preserve Hermiticity "
             f"(max|conj(M) - S M S| = {defect:.3g})"

@@ -266,8 +266,8 @@ def jordan_hahn(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return x_plus, x_minus, e_plus, e_minus
 
 
-def golden_rows(fn, a: np.ndarray, b: np.ndarray, tol: float, *,
-                parabolic: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def golden_rows(fn, a: np.ndarray, b: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section maximum of fn on each row's bracket [a, b].
 
     ``fn`` maps an array of one point per row to the rows' values.  Every
@@ -275,11 +275,6 @@ def golden_rows(fn, a: np.ndarray, b: np.ndarray, tol: float, *,
     right), and all rows step until every bracket is at most ``tol``, so
     rows of one starting width stop on the same step.  Returns
     (midpoints, values); minimize by negating fn.
-
-    With ``parabolic``, the final bracket [a, b] with interior points
-    c < d and midpoint t gets one parabolic step through (c, t, d).  A
-    row takes the vertex only where it is finite, lies strictly inside
-    [a, b] and its value beats the midpoint's, so no row ends lower.
     """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -295,17 +290,7 @@ def golden_rows(fn, a: np.ndarray, b: np.ndarray, tol: float, *,
                               np.where(left, c, t), np.where(left, ft, fd),
                               np.where(left, fc, ft))
     t = 0.5 * (a + b)
-    ft = fn(t)
-    if not parabolic:
-        return t, ft
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = (t - c) * (ft - fd)
-        q = (t - d) * (ft - fc)
-        v = t - 0.5 * ((t - c) * p - (t - d) * q) / (p - q)
-        v = np.where(np.isfinite(v) & (v > a) & (v < b), v, t)
-    fv = fn(v)
-    better = fv > ft
-    return np.where(better, v, t), np.where(better, fv, ft)
+    return t, fn(t)
 
 
 def integrate(fn, a: float, b: float, epsabs: float, epsrel: float,

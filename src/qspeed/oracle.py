@@ -36,10 +36,7 @@ _SPACING = math.pi / 25
 _STEP_TOL = 1e-12
 _MAX_SWEEPS = 60
 
-# golden-section brackets of a Givens move: where the pair total is smooth
-# at its maximum, a coarse bracket and one parabolic step find it; at a
-# cusp only the fine bracket does
-_COARSE_TOL = 1e-3
+# golden-section bracket of a Givens move without an exact angle
 _FINE_TOL = 1e-8
 
 # restarts advance together as one stack of rows, at most this many at a
@@ -248,13 +245,45 @@ def _step_tol(total: np.ndarray) -> np.ndarray:
     return _STEP_TOL * np.minimum(1.0, total)
 
 
+def _jacobi_angle(ma, da, ca, mb, db, cb):
+    """f_1 and sf_alpha: the pair's outcomes are mb +- y with
+    y = db cos2t + cb sin2t, and the pair total is even and convex in y,
+    so it peaks where |y| = hypot(db, cb).  The rotation zeroes the part
+    of x's (i, j) entry that the phase selects, as a Jacobi step does."""
+    return 0.5 * np.arctan2(cb, db)
+
+
+def _f2_angles(ma, da, ca, mb, db, cb):
+    """f_2: with p = ma +- u and x = mb +- v, where u and v are first-order
+    in (cos2t, sin2t), the pair total is N / D with
+    N = 2 ma (mb^2 + v^2) - 4 mb u v and D = ma^2 - u^2 = p_i p_j, both
+    first-order trig polynomials in psi = 4t.  N'D - ND' is
+    A cos psi + B sin psi - C, which vanishes at the two angles returned,
+    psi = atan2(B, A) +- acos(C / hypot(A, B)), the maximum of N / D
+    first.  The move evaluates both through the clamped cells."""
+    n0 = 2 * ma * mb * mb + ma * (db * db + cb * cb) - 2 * mb * (da * db + ca * cb)
+    n1 = ma * (db * db - cb * cb) - 2 * mb * (da * db - ca * cb)
+    n2 = 2 * ma * db * cb - 2 * mb * (da * cb + ca * db)
+    d0 = ma * ma - 0.5 * (da * da + ca * ca)
+    d1 = -0.5 * (da * da - ca * ca)
+    d2 = -da * ca
+    a, b, c = d0 * n2 - n0 * d2, n0 * d1 - d0 * n1, n1 * d2 - n2 * d1
+    r = np.hypot(a, b)
+    # where r = 0 the total does not depend on the angle, so any angle
+    # will do; the step test then leaves the row where it is
+    half = np.arccos(np.clip(c / np.where(r > 0, r, 1.0), -1.0, 1.0))
+    mid = np.arctan2(b, a)
+    return 0.25 * np.hstack([mid + half, mid - half])
+
+
 def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
-                 cell, use_max: bool, smooth: bool) -> None:
+                 cell, use_max: bool, angles) -> None:
     """One Givens move on the pair (i, j) at one phase, for every row.
 
-    Scans the angle grid, refines the best grid point by golden section
-    (to ``_COARSE_TOL`` plus one parabolic step where ``smooth``, else to
-    ``_FINE_TOL``) and applies the rotation to the rows whose total it
+    Takes the best of the candidate angles that ``angles`` returns, the
+    exact maxima of the pair total, or, where ``angles`` is None, scans
+    the angle grid and refines the best grid point by golden section to
+    ``_FINE_TOL``.  Applies the rotation to the rows whose total it
     raises by more than ``_step_tol``; updates the arrays in place.
     """
     w = 1.0 if phase == 0.0 else -1j
@@ -280,19 +309,24 @@ def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
                               cell(ma2 - pi_, mb2 - xi_))
         return rest + cell(pi_, xi_) + cell(ma2 - pi_, mb2 - xi_)
 
-    vals = pair_total(_GRID_C2, _GRID_S2)
-    kbest = vals.argmax(axis=1)  # the first of tied maxima
-    v0 = vals[np.arange(len(vals)), kbest]
-    t0 = _GRID[kbest][:, None]
-    t_star, v_star = golden_rows(
-        lambda t: pair_total(np.cos(2 * t), np.sin(2 * t)),
-        t0 - _SPACING, t0 + _SPACING, _COARSE_TOL if smooth else _FINE_TOL,
-        parabolic=smooth,
-    )
-    t_star, v_star = t_star[:, 0], v_star[:, 0]
-    grid_wins = v0 > v_star
-    t_star = np.where(grid_wins, _GRID[kbest], t_star)
-    v_star = np.where(grid_wins, v0, v_star)
+    if angles is None:
+        vals = pair_total(_GRID_C2, _GRID_S2)
+        kbest = vals.argmax(axis=1)  # the first of tied maxima
+        v0 = vals[np.arange(len(vals)), kbest]
+        t0 = _GRID[kbest][:, None]
+        t_star, v_star = golden_rows(
+            lambda t: pair_total(np.cos(2 * t), np.sin(2 * t)),
+            t0 - _SPACING, t0 + _SPACING, _FINE_TOL)
+        t_star, v_star = t_star[:, 0], v_star[:, 0]
+        grid_wins = v0 > v_star
+        t_star = np.where(grid_wins, _GRID[kbest], t_star)
+        v_star = np.where(grid_wins, v0, v_star)
+    else:
+        cand = angles(ma, da, ca, mb, db, cb)
+        vals = pair_total(np.cos(2 * cand), np.sin(2 * cand))
+        kbest = vals.argmax(axis=1)  # the first of tied candidates
+        t_star = cand[np.arange(len(cand)), kbest]
+        v_star = vals[np.arange(len(vals)), kbest]
     rows = np.flatnonzero(v_star > total + _step_tol(total))
     if not rows.size:
         return
@@ -317,7 +351,7 @@ def _givens_move(a, b, u, cells, total, gain, i: int, j: int, phase: float,
 
 
 def _search_block(rho, x, starts, seed: int, cell, use_max: bool,
-                  smooth: bool) -> tuple[np.ndarray, np.ndarray]:
+                  angles) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate ascent from the given restarts, run as one stack.
 
     Returns each restart's final total and unitary.
@@ -339,7 +373,7 @@ def _search_block(rho, x, starts, seed: int, cell, use_max: bool,
         for (i, j) in pairs:
             for phase in (0.0, math.pi / 2):
                 _givens_move(a, b, u, cells, total, gain, i, j, phase, cell,
-                             use_max, smooth)
+                             use_max, angles)
         done = gain <= _step_tol(total)
         if done.any():
             final_total[ids[done]] = total[done]
@@ -362,11 +396,15 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
     Parametrizes the measurement by a unitary basis and runs seeded random
     starts followed by Givens-rotation coordinate ascent.  For an index
     pair and phase, the rotated probabilities are sinusoids in twice the
-    angle and only two outcomes change, so each move is an angle-grid scan
-    plus golden-section refinement with O(1) evaluations.  The restarts
-    advance together as a stack of arrays, in blocks of at most ``_BLOCK``
-    rows.  Restriction to projective measurements is enough to attain the
-    closed-form maxima.  Returns (best value, best measurement).
+    angle and only two outcomes change, so each move is one-dimensional.
+    For f_1 and sf_alpha the move takes the exact maximizing angle, which
+    makes the search cyclic Jacobi on x = drho; for f_2 it takes the better
+    of the pair total's two stationary angles.  d_alpha, sd_alpha and
+    f_alpha at other alpha scan an angle grid and refine by golden
+    section.  The restarts advance together as a stack of arrays, in
+    blocks of at most ``_BLOCK`` rows.  Restriction to projective
+    measurements is enough to attain the closed-form maxima.  Returns
+    (best value, best measurement).
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -382,13 +420,14 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
         )
     cell = _make_cell(objective, alpha)
     use_max = math.isinf(alpha)
-    # the pair total is smooth at its maximum for sf_alpha at finite alpha
-    # and f_alpha at alpha <= 2.  Elsewhere it can peak at a kink (the
-    # cusp of q^(1/alpha) at q = 0 in d_alpha, the max at alpha = inf) or
-    # grow without bound (f_alpha above alpha = 2 on pure states), so
-    # those searches, and sd_alpha's, keep the fine bracket
-    smooth = ((objective == "sf_alpha" and not use_max)
-              or (objective == "f_alpha" and alpha <= 2))
+    # exact moves where the pair total has a one-line maximum; d_alpha,
+    # sd_alpha and f_alpha at any other alpha keep the grid search
+    if objective == "sf_alpha" or (objective == "f_alpha" and alpha == 1.0):
+        angles = _jacobi_angle
+    elif objective == "f_alpha" and alpha == 2.0:
+        angles = _f2_angles
+    else:
+        angles = None
     restarts = int(cfg.restarts)
     best_total = -math.inf
     best_u = np.eye(dim, dtype=complex)
@@ -396,7 +435,7 @@ def brute_force_max(fam, theta: float, objective: str, alpha: float,
         starts = range(lo, min(lo + _BLOCK, restarts))
         with np.errstate(over="ignore", invalid="ignore"):
             totals, us = _search_block(rho, x, starts, cfg.seed, cell,
-                                       use_max, smooth)
+                                       use_max, angles)
         if not np.all(np.isfinite(totals)):
             raise NumericalConsistencyError(
                 f"the {objective} search exceeds the float range at "

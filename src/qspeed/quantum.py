@@ -252,8 +252,7 @@ class ParametricFamily:
         rho0, psi0 = _initial_state(state, dim)
         # the kind promises trace conservation: Tr L[X] = 0 for all X
         trace_row = vec(np.eye(dim)).conj() @ m
-        scale = max(float(np.max(np.abs(m))), 1.0)
-        if float(np.max(np.abs(trace_row))) > COMPLETENESS_TOL * scale:
+        if np.max(np.abs(trace_row)) > COMPLETENESS_TOL * np.max(np.abs(m)):
             raise InvalidInputError(
                 "lindblad generator does not conserve trace; use the "
                 "non_hermitian kind for trace-decaying evolutions"

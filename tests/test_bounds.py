@@ -148,6 +148,48 @@ def test_superop_norm_rejects_non_hermiticity_preserving():
         bounds.superop_norm(op, 1.0, restarts=2, seed=0)
 
 
+def _random_map(seed, dim=2):
+    rng = generator(403, seed)
+    side = dim * dim
+    return rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+
+
+def test_superop_norm_refuses_a_small_non_preserving_map():
+    # an absolute floor in the tolerance let the map through once scaled
+    # down: its defect 2.8e-12 sat below 1e-9 * max(|M|, 1)
+    op = matcore.Superoperator.from_matrix(1e-12 * _random_map(0))
+    assert op.hermiticity_preservation_defect() > 1e-12
+    with pytest.raises(InvalidInputError, match="preserve Hermiticity"):
+        bounds.superop_norm(op, 1.0, restarts=2, seed=0)
+
+
+def _hermiticity_check_passes(mat):
+    try:
+        bounds.superop_norm(matcore.Superoperator.from_matrix(mat), 1.0,
+                            restarts=1, seed=0)
+    except InvalidInputError as err:
+        assert "preserve Hermiticity" in str(err)
+        return False
+    return True
+
+
+def test_superop_norm_hermiticity_check_is_scale_free():
+    # c M with c = 2^k has exactly c times M's defect and norm, so the
+    # check must accept c M exactly when it accepts M; the maps straddle
+    # the 1e-9 relative tolerance
+    rng = generator(404)
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    preserving = matcore.Superoperator.from_non_hermitian(
+        h + h.conj().T, np.diag([0.4, 0.1])).matrix
+    maps = [preserving + eps * _random_map(1)
+            for eps in (0.0, 1e-11, 1e-10, 1e-9, 1e-8, 1.0)]
+    passes = [_hermiticity_check_passes(mat) for mat in maps]
+    assert True in passes and False in passes
+    for k in range(-60, 61):
+        assert [_hermiticity_check_passes(2.0 ** k * mat)
+                for mat in maps] == passes, k
+
+
 @pytest.mark.parametrize("restarts", [0, -2])
 def test_superop_norm_needs_a_restart(restarts):
     op = matcore.Superoperator.from_hamiltonian(np.diag([0.0, 3.0]))

@@ -249,8 +249,8 @@ def test_search_attains_hellinger_distance():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_search_attains_bures_distance_against_pure_partners(dim):
     # a pure partner puts a zero probability on the search's path, where
-    # q^(1/2) has a cusp: a coarse golden section with a parabolic finish
-    # falls short there by up to 1.2e-5, so d_alpha keeps the fine bracket
+    # q^(1/2) has a cusp; d_alpha has no exact move, so the angle grid and
+    # the fine golden section must reach the cusp
     cfg = SearchConfig(restarts=32, seed=0)
     for index in range(6):
         rho = random_instance("density", dim, 77, index)
@@ -401,6 +401,134 @@ def test_search_blocks_bound_the_batch(monkeypatch):
     split, _ = brute_force_max(fam, 0.0, "f_alpha", 2.0, cfg=cfg)
     assert sizes == [3, 3, 1]
     assert split == pytest.approx(whole, rel=1e-12)
+
+
+# -- exact Givens moves -----------------------------------------------
+
+
+def _givens(t, phase):
+    """The rotations the search applies, one per angle in t."""
+    g = np.empty((len(t), 2, 2), dtype=complex)
+    g[:, 0, 0] = g[:, 1, 1] = np.cos(t)
+    g[:, 0, 1] = -np.sin(t) * np.exp(1j * phase)
+    g[:, 1, 0] = np.sin(t) * np.exp(-1j * phase)
+    return g
+
+
+def _f2_move_and_scan(rho, x, phase):
+    """The qubit pair total after one f_2 move from the identity basis,
+    and the largest pair total over 4,096 rotations at the same phase."""
+    cell = oracle._make_cell("f_alpha", 2.0)
+    a, b = rho[None].astype(complex), x[None].astype(complex)
+    u = np.eye(2, dtype=complex)[None]
+    cells = cell(np.diagonal(a, axis1=1, axis2=2).real,
+                 np.diagonal(b, axis1=1, axis2=2).real)
+    total = oracle._total(cells, False)
+    oracle._givens_move(a, b, u, cells, total, np.zeros(1), 0, 1, phase,
+                        cell, False, oracle._f2_angles)
+    g = _givens(np.linspace(-math.pi / 2, math.pi / 2, 4096, endpoint=False),
+                phase)
+    gh = g.conj().transpose(0, 2, 1)
+    p = np.diagonal(gh @ rho @ g, axis1=1, axis2=2).real
+    q = np.diagonal(gh @ x @ g, axis1=1, axis2=2).real
+    scan = cell(p, q).sum(axis=1).max()
+    return float(total[0]), float(scan)
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_f2_move_beats_a_dense_angle_scan(pure):
+    # the move evaluates only the two stationary points of the pair total;
+    # one of them must be the global maximum.  The near-pure states put a
+    # probability near P_FLOOR (1e-12) on the rotation's path, and below
+    # it, where the cells clamp
+    for index in range(20):
+        rng = generator(4500, index)
+        rho = random_instance("density", 2, 4501, index)
+        if pure:
+            psi = random_instance("pure", 2, 4502, index)
+            eps = 10.0 ** rng.uniform(-15.0, -9.0)
+            rho = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * rho
+        h = random_instance("hermitian", 2, 4503, index)
+        # a unitary family's derivative, and a traceless x that does not
+        # vanish where p does
+        for x in (-1j * (h @ rho - rho @ h), h - 0.5 * np.trace(h) * np.eye(2)):
+            for phase in (0.0, math.pi / 2):
+                move, scan = _f2_move_and_scan(rho, x, phase)
+                assert move >= scan * (1.0 - 1e-13)
+
+
+def _search_basis(fam, objective, alpha, cfg):
+    """x in the basis of the searched measurement."""
+    _, povm = brute_force_max(fam, 0.0, objective, alpha, cfg=cfg)
+    u = np.column_stack([np.linalg.eigh(e)[1][:, -1] for e in povm.elements])
+    x = fam.derivative_at(0.0)
+    return x, u.conj().T @ x @ u
+
+
+@pytest.mark.parametrize("objective, alpha", [
+    ("f_alpha", 1.0), ("sf_alpha", 1.5), ("sf_alpha", 3.0),
+    ("sf_alpha", math.inf)])
+def test_x_alone_search_diagonalizes_a_qubit_derivative(objective, alpha):
+    # the f_1 and sf_alpha moves are cyclic Jacobi on x; a qubit's x is
+    # traceless, so each pair total grows with |y| and the search ends in
+    # x's eigenbasis, off-diagonal part at rounding level
+    for index in range(5):
+        fam = ParametricFamily.unitary(
+            random_instance("hermitian", 2, 4600, index),
+            random_instance("density", 2, 4601, index))
+        x, y = _search_basis(fam, objective, alpha,
+                             SearchConfig(restarts=4, seed=index))
+        assert abs(y[0, 1]) <= 1e-14 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_sf_alpha_search_ends_at_the_jacobi_fixed_point(dim, alpha):
+    # a rotation that zeroes an off-diagonal entry e raises the total by
+    # O(e^2), so the 1e-12 step test stops the sweeps while e can still
+    # be about 1e-7 of max|x|.  The diagonal then equals x's spectrum to
+    # second order in e
+    for index in range(5):
+        fam = ParametricFamily.unitary(
+            random_instance("hermitian", dim, 4700, index),
+            random_instance("density", dim, 4701, index))
+        x, y = _search_basis(fam, "sf_alpha", alpha,
+                             SearchConfig(restarts=4, seed=index))
+        scale = np.abs(x).max()
+        assert np.abs(y - np.diag(np.diag(y))).max() <= 1e-5 * scale
+        assert np.sort(np.diag(y).real) == pytest.approx(
+            np.linalg.eigvalsh(x), abs=1e-12 * scale)
+
+
+# the f_2 search over 60 pure unitary families: the largest excess over
+# F_2 is on family 16 (d = 3), 1.9e-12 relative
+_F2_PURE_WORST = (16, 6.487067477757737)
+
+
+def _pure_unitary_family(index):
+    dim = 2 + index % 3
+    return ParametricFamily.unitary(
+        random_instance("hermitian", dim, 5100, index),
+        random_instance("pure", dim, 5200, index))
+
+
+def test_f2_search_stays_below_the_qfi_of_pure_families():
+    # on a pure state x^2 / p meets p -> 0 on the search's path, where
+    # the cells clamp p at P_FLOOR
+    excess = []
+    for index in range(60):
+        fam = _pure_unitary_family(index)
+        value, _ = brute_force_max(fam, 0.0, "f_alpha", 2.0,
+                                   cfg=SearchConfig(restarts=8, seed=index))
+        f2 = quantum.qfi(fam, 0.0)
+        excess.append((value - f2) / f2)
+    assert max(excess) <= 1e-9
+    worst, value = _F2_PURE_WORST
+    assert int(np.argmax(excess)) == worst
+    assert brute_force_max(
+        _pure_unitary_family(worst), 0.0, "f_alpha", 2.0,
+        cfg=SearchConfig(restarts=8, seed=worst))[0] == pytest.approx(
+            value, rel=1e-12)
 
 
 _entry = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)

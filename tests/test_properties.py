@@ -1,6 +1,10 @@
 """General properties of the statistical speeds (arXiv:1712.04661) as
 hypothesis properties over seeded families of every kind."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,3 +140,35 @@ def test_speeds_do_not_increase_under_a_partial_trace(d_s, d_e, seed, pure):
     reduced = ParametricFamily.unitary(h, rho_s)
     for speed in (quantum.trace_speed, quantum.qfi):
         assert speed(reduced, THETA) <= speed(joint, THETA) * (1.0 + 1e-12)
+
+
+# -- a failing property reports like any failing test ------------------
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_a_failing_property(n):
+    assert n < 0
+
+
+def test_a_plain_test_after_it():
+    pass
+"""
+
+
+def test_a_failing_property_does_not_end_the_session(tmp_path):
+    # hypothesis's report hook imports libcst, which warns with a
+    # DeprecationWarning; under this suite's warning filters that ended
+    # the session with an INTERNALERROR before the next test ran
+    (tmp_path / "test_failing.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+    assert proc.returncode == 1

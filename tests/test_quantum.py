@@ -981,6 +981,43 @@ def test_family_rejects_bad_inputs():
         ParametricFamily.lindblad(decaying, np.diag([0.5, 0.5]))
 
 
+def _decaying_generator():
+    return matcore.Superoperator.from_non_hermitian(
+        np.zeros((2, 2)), np.diag([1.0, 0.0])).matrix
+
+
+def test_lindblad_refuses_a_small_trace_decaying_generator():
+    # an absolute floor in the tolerance let 1e-10 times the generator
+    # through, and its state at theta = 1e6 had trace 0.9999
+    with pytest.raises(InvalidInputError, match="does not conserve trace"):
+        ParametricFamily.lindblad(1e-10 * _decaying_generator(),
+                                  np.diag([0.5, 0.5]))
+
+
+def _trace_check_passes(mat):
+    try:
+        ParametricFamily.lindblad(mat, np.diag([0.5, 0.5]))
+    except InvalidInputError as err:
+        assert "does not conserve trace" in str(err)
+        return False
+    return True
+
+
+def test_lindblad_trace_check_is_scale_free():
+    # c M with c = 2^k has exactly c times M's trace row and entries, so
+    # the check must accept c M exactly when it accepts M; the generators
+    # straddle the 1e-9 relative tolerance
+    h = np.array([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
+    conserving = matcore.Superoperator.from_hamiltonian(h).matrix
+    maps = [conserving + eps * _decaying_generator()
+            for eps in (0.0, 1e-10, 5e-10, 2e-9, 1e-8, 1.0)]
+    passes = [_trace_check_passes(mat) for mat in maps]
+    assert True in passes and False in passes
+    for k in range(-60, 61):
+        assert [_trace_check_passes(2.0 ** k * mat)
+                for mat in maps] == passes, k
+
+
 # -- immutable families -----------------------------------------------
 
 
